@@ -12,12 +12,33 @@ finite-difference test.
 of numpy's broadcasting machinery.  The module-level ``exp`` / ``tanh`` /
 ``sigmoid`` helpers accept plain ndarrays too, so the mask and loss
 formulas can be written once and evaluated either numerically or under
-the tape.
+the tape.  Inside ``with no_grad():`` operations record nothing, for
+forward passes whose result feeds no ``backward()``.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "exp", "tanh", "sigmoid", "raw"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "exp", "tanh", "sigmoid", "raw"]
+
+_recording = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Record no operations on the tape while the block runs.
+
+    Results computed inside are bitwise the same; they just carry no
+    parents and no gradient requirement, so nothing is kept for a
+    backward sweep.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -53,7 +74,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, backward):
         out = cls(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording.get() and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward

@@ -121,9 +121,18 @@ def checkpoint_load(path) -> Checkpoint:
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 16:
+        raise ValueError(
+            f"{path}: truncated checkpoint header ({len(blob)} bytes, need 16)"
+        )
     version, header_len = struct.unpack_from("<II", blob, 8)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if 16 + header_len > len(blob):
+        raise ValueError(
+            f"{path}: checkpoint header length {header_len} runs past end of "
+            f"file ({len(blob)} bytes)"
+        )
     header = json.loads(blob[16 : 16 + header_len].decode())
     cfg = EmbedNetConfig(
         context=header["config"]["context"],

@@ -14,6 +14,7 @@ import numpy as np
 
 from .adanet import detect_active_sources
 from .attractor import form_attractors, threshold_vector
+from .autograd import no_grad
 from .checkpoint import checkpoint_load
 from .data import build_manifest, generate_dataset, load_index
 from .dsp import flatten_tf, log_magnitude, magnitude, reconstruct, stft
@@ -359,7 +360,8 @@ def cmd_diagnose(opts) -> int:
     spec = stft(mixture)
     mag = magnitude(spec)
     x_flat = mag.flatten()
-    v = net.embed(log_magnitude(mag)).data
+    with no_grad():
+        v = net.embed(log_magnitude(mag)).data
     w = threshold_vector(x_flat, opts["q"])
     src_flat = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
     labels = np.argmax(src_flat, axis=0)

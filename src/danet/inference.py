@@ -13,6 +13,7 @@ import numpy as np
 
 from .adanet import select_attractor_set
 from .attractor import estimate_masks, similarity_scores, threshold_vector
+from .autograd import no_grad
 from .dsp import (
     ComplexSpectrogram,
     Waveform,
@@ -60,10 +61,18 @@ class KMeansResult:
     history: list             # inertia after each assignment pass
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, points (n,K) x centers (C,K) -> (n,C)."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ncj,ncj->nc", diff, diff)
+def _column_min(d: np.ndarray) -> tuple:
+    """Row index and value of the minimum of each column of a C x n array.
+
+    Equal to ``d.argmin(axis=0)`` and ``d.min(axis=0)`` on finite input,
+    the first row winning ties, but several times faster for small C.
+    """
+    index = np.zeros(d.shape[1], dtype=np.intp)
+    least = d[0].copy()
+    for k in range(1, d.shape[0]):
+        index[d[k] < least] = k
+        np.minimum(least, d[k], out=least)
+    return index, least
 
 
 def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
@@ -73,51 +82,65 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     assigned to its nearest center.  Stops when the relative inertia
     change drops below 1e-6 or after 100 iterations; empty clusters are
     re-seeded to the point farthest from its assigned center.
+    Squared distances use the expanded form |p|^2 - 2 c.p + |c|^2, one
+    matrix product per pass, clamped at 0 against rounding below zero.
     """
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w).reshape(-1)
-    points = v.T[w > 0]
-    n = points.shape[0]
+    if w.size != v.shape[1]:
+        raise ValueError(f"w has {w.size} entries for {v.shape[1]} bins")
+    points = np.compress(w > 0, v, axis=1)  # K x n, contiguous
+    n = points.shape[1]
     if n < c:
         raise ValueError(f"only {n} retained bins for C={c} clusters")
+    sq_norms = np.einsum("kn,kn->n", points, points)
     rng = np.random.default_rng(seed)
+
+    def sq_dists(centers: np.ndarray) -> np.ndarray:
+        """Squared distances, centers (C,K) x points -> (C,n)."""
+        d2 = centers @ points
+        d2 *= -2.0
+        d2 += sq_norms
+        d2 += np.einsum("ck,ck->c", centers, centers)[:, None]
+        return np.maximum(d2, 0.0, out=d2)
 
     # k-means++ seeding
     centers = np.empty((c, v.shape[0]))
-    centers[0] = points[rng.integers(n)]
-    closest = _sq_dists(points, centers[:1]).min(axis=1)
+    centers[0] = points[:, rng.integers(n)]
+    closest = sq_dists(centers[:1])[0]
     for k in range(1, c):
         total = closest.sum()
         if total > 0:
             probs = closest / total
-            centers[k] = points[rng.choice(n, p=probs)]
+            centers[k] = points[:, rng.choice(n, p=probs)]
         else:
-            centers[k] = points[rng.integers(n)]
-        closest = np.minimum(closest, _sq_dists(points, centers[k : k + 1]).min(axis=1))
+            centers[k] = points[:, rng.integers(n)]
+        closest = np.minimum(closest, sq_dists(centers[k : k + 1])[0])
 
     history = []
     prev = None
-    labels = np.zeros(n, dtype=int)
+    cluster_ids = np.arange(c)[:, None]
     for _ in range(100):
-        d2 = _sq_dists(points, centers)
-        labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
+        d2 = sq_dists(centers)
+        labels, assigned = _column_min(d2)
+        inertia = float(assigned.sum())
         history.append(inertia)
         if inertia == 0.0:
             break
         if prev is not None and prev - inertia <= 1e-6 * prev:
             break
         prev = inertia
-        for k in range(c):
-            member = labels == k
-            if member.any():
-                centers[k] = points[member].mean(axis=0)
-            else:
-                farthest = int(d2[np.arange(n), labels].argmax())
-                centers[k] = points[farthest]
+        members = (labels == cluster_ids).astype(np.float64)  # C x n one-hot
+        counts = members.sum(axis=1)
+        sums = members @ points.T
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            centers[~filled] = points[:, int(assigned.argmax())]
 
-    full = _sq_dists(v.T, centers)
-    return KMeansResult(centers, full.argmin(axis=1), history[-1], history)
+    # |p|^2 is the same for every center, so it cannot change the argmin.
+    near = np.einsum("ck,ck->c", centers, centers)[:, None] - 2.0 * (centers @ v)
+    return KMeansResult(centers, _column_min(near)[0], history[-1], history)
 
 
 def fixed_attractors(training_attractors: list) -> np.ndarray:
@@ -163,7 +186,8 @@ def separate(
     spec = stft(mixture)
     mag = magnitude(spec)
     x_flat = mag.flatten()
-    v = net.embed(log_magnitude(mag)).data
+    with no_grad():
+        v = net.embed(log_magnitude(mag)).data
     w = threshold_vector(x_flat, q)
 
     if isinstance(strategy, KMeansStrategy):

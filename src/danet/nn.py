@@ -181,11 +181,13 @@ def adam_step(params: dict, state: AdamState) -> AdamState:
     return state
 
 
-def lr_schedule(state: AdamState, epochs_since_best: int) -> AdamState:
-    """Halve the learning rate once no new best has appeared for 3 epochs.
+def lr_schedule(state: AdamState, epochs_since_best: int,
+                patience: int = 3) -> AdamState:
+    """Halve the learning rate once no new best has appeared for
+    ``patience`` epochs.
 
     The caller resets its own counter when the rate changes.
     """
-    if epochs_since_best >= 3:
+    if epochs_since_best >= patience:
         state.lr = state.lr / 2.0
     return state

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adanet import adanet_loss, adanet_train_step
 from .attractor import danet_loss, danet_train_step, form_attractors, threshold_vector
+from .autograd import no_grad
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from .dsp import Waveform, flatten_tf, log_magnitude, magnitude, stft
 from .inference import fixed_attractors
@@ -99,7 +100,8 @@ def _validation_loss(net, settings, slots, corpus) -> float:
     total = 0.0
     for item in corpus:
         mix_mag, src_mags = _utterance_mags(item)
-        loss = _loss_value(net, settings, slots, mix_mag, src_mags)
+        with no_grad():
+            loss = _loss_value(net, settings, slots, mix_mag, src_mags)
         total += loss / mix_mag.size
     return total / len(corpus)
 
@@ -111,7 +113,8 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
         if item["C"] != slots:
             continue
         mix_mag, src_mags = _utterance_mags(item)
-        v = net.embed(log_magnitude(mix_mag)).data
+        with no_grad():
+            v = net.embed(log_magnitude(mix_mag)).data
         w = threshold_vector(flatten_tf(mix_mag), settings.q)
         y = ibm(np.stack([flatten_tf(s) for s in src_mags]))
         try:
@@ -255,7 +258,7 @@ def train(
             log_fh.flush()
 
             if state["since_best_lr"] >= settings.patience_lr:
-                lr_schedule(opt, state["since_best_lr"])
+                lr_schedule(opt, state["since_best_lr"], settings.patience_lr)
                 state["since_best_lr"] = 0
 
             if state["phase"] == 1:

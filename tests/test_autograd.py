@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from danet.autograd import Tensor, exp, sigmoid, tanh
+from danet.autograd import Tensor, exp, no_grad, sigmoid, tanh
+from danet.nn import EmbedNet, EmbedNetConfig
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -139,3 +140,33 @@ class TestBackwardContract:
         assert isinstance(out, Tensor)
         out.sum().backward()
         np.testing.assert_allclose(t.grad, -1.0)
+
+
+class TestNoGrad:
+    def test_records_no_parents(self):
+        t = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            out = tanh(t @ t + 1.0).sum()
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_recording_resumes_after_block(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inside")
+        loss = (t * 2.0).sum()
+        assert loss.requires_grad
+        loss.backward()
+        np.testing.assert_allclose(t.grad, 2.0)
+
+    def test_embeddings_bitwise_equal(self):
+        cfg = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
+        net = EmbedNet(cfg, seed=3, n_anchors=2)
+        feats = np.random.default_rng(4).standard_normal((7, 9))
+        taped = net.embed(feats)
+        with no_grad():
+            untaped = net.embed(feats)
+        assert taped.requires_grad and not untaped.requires_grad
+        assert untaped._parents == ()
+        np.testing.assert_array_equal(untaped.data, taped.data)

@@ -187,6 +187,17 @@ class TestSeparate:
             "--speakers", "2", "--strategy", "fixed",
         ]) == 2
 
+    def test_truncated_checkpoint_exits_two(self, corpus, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(b"DANCKPT\0" + b"\x01\x00")
+        row = load_index(corpus / "test" / "index.jsonl")[0]
+        assert main([
+            "separate", "--checkpoint", str(ckpt),
+            "--input", str(row["mixture_path"]), "--out", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "header" in err and "Traceback" not in err
+
     def test_auto_requires_anchored(self, corpus, trained, tmp_path):
         row = load_index(corpus / "test" / "index.jsonl")[0]
         assert main([

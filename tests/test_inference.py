@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from danet.dsp import Waveform, istft, stft
 from danet.inference import (
     AnchoredStrategy,
     FixedStrategy,
+    KMeansResult,
     KMeansStrategy,
     fixed_attractors,
     kmeans,
@@ -77,6 +80,148 @@ class TestKmeans:
         r2 = kmeans(v, 3, np.ones(80), seed=9)
         np.testing.assert_array_equal(r1.centers, r2.centers)
         np.testing.assert_array_equal(r1.labels, r2.labels)
+
+
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances, points (n,K) x centers (C,K) -> (n,C)."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("ncj,ncj->nc", diff, diff)
+
+
+def reference_kmeans(v, c, w, seed=0):
+    """Oracle for ``kmeans``: the same algorithm with every distance taken
+    as a direct point-centre difference and every mean as a row mean.
+
+    Returns the result and the number of empty clusters it re-seeded.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    w = np.asarray(w).reshape(-1)
+    points = v.T[w > 0]
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((c, v.shape[0]))
+    centers[0] = points[rng.integers(n)]
+    closest = _sq_dists(points, centers[:1]).min(axis=1)
+    for k in range(1, c):
+        total = closest.sum()
+        if total > 0:
+            probs = closest / total
+            centers[k] = points[rng.choice(n, p=probs)]
+        else:
+            centers[k] = points[rng.integers(n)]
+        closest = np.minimum(closest, _sq_dists(points, centers[k : k + 1]).min(axis=1))
+
+    history = []
+    prev = None
+    reseeded = 0
+    for _ in range(100):
+        d2 = _sq_dists(points, centers)
+        labels = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), labels].sum())
+        history.append(inertia)
+        if inertia == 0.0:
+            break
+        if prev is not None and prev - inertia <= 1e-6 * prev:
+            break
+        prev = inertia
+        for k in range(c):
+            member = labels == k
+            if member.any():
+                centers[k] = points[member].mean(axis=0)
+            else:
+                farthest = int(d2[np.arange(n), labels].argmax())
+                centers[k] = points[farthest]
+                reseeded += 1
+
+    full = _sq_dists(v.T, centers)
+    return KMeansResult(centers, full.argmin(axis=1), history[-1], history), reseeded
+
+
+def assert_labels_nearest(v, result):
+    d2 = _sq_dists(np.asarray(v, dtype=np.float64).T, result.centers)
+    chosen = d2[np.arange(d2.shape[0]), result.labels]
+    assert np.all(chosen <= d2.min(axis=1) * (1 + 1e-12) + 1e-300)
+
+
+class TestKmeansMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        n=st.integers(1, 400),
+        c=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        data_seed=st.integers(0, 2**32 - 1),
+        keep=st.floats(0.1, 1.0),
+    )
+    def test_same_result_as_direct_differences(self, k, n, c, seed, data_seed, keep):
+        rng = np.random.default_rng(data_seed)
+        blobs = rng.standard_normal((k, c)) * rng.uniform(0.0, 5.0)
+        v = blobs[:, rng.integers(0, c, n)] + rng.standard_normal((k, n))
+        w = (rng.uniform(size=n) < keep).astype(float)
+        # more retained points than clusters: see test_every_point_a_centre
+        assume(w.sum() > c)
+        result = kmeans(v, c, w, seed=seed)
+        expected, _ = reference_kmeans(v, c, w, seed=seed)
+        np.testing.assert_array_equal(result.labels, expected.labels)
+        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+        assert len(result.history) == len(expected.history)
+        assert_labels_nearest(v, result)
+
+    def test_weights_must_cover_every_bin(self):
+        with pytest.raises(ValueError, match="9 entries for 10 bins"):
+            kmeans(np.ones((3, 10)), 2, np.ones(9))
+
+    def test_single_cluster(self):
+        v = np.random.default_rng(12).standard_normal((5, 70))
+        w = np.ones(70)
+        result = kmeans(v, 1, w, seed=3)
+        expected, _ = reference_kmeans(v, 1, w, seed=3)
+        np.testing.assert_array_equal(result.labels, np.zeros(70))
+        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+        assert len(result.history) == len(expected.history)
+
+    def test_every_point_a_centre(self):
+        # Direct differences give exactly 0 here and stop after one pass;
+        # the expanded form leaves a rounding residue (~1e-16 per point)
+        # and stops one pass later, on the same labels and centres.
+        v = np.random.default_rng(14).standard_normal((3, 4))
+        w = np.ones(4)
+        result = kmeans(v, 4, w, seed=0)
+        expected, _ = reference_kmeans(v, 4, w, seed=0)
+        assert expected.history == [0.0]
+        assert len(result.history) <= 2 and result.inertia < 1e-14
+        np.testing.assert_array_equal(result.labels, expected.labels)
+        np.testing.assert_array_equal(result.centers, expected.centers)
+
+    def test_empty_cluster_reseeded(self):
+        # seven 2-D points where a cluster empties on the third pass
+        v = np.array([[0.0, 0, 1, 5, -5, 0, 4], [3, -4, 1, 4, -5, 5, 4]])
+        w = np.ones(7)
+        expected, reseeded = reference_kmeans(v, 4, w, seed=0)
+        assert reseeded > 0
+        result = kmeans(v, 4, w, seed=0)
+        np.testing.assert_array_equal(result.labels, expected.labels)
+        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+        assert result.history == pytest.approx(expected.history, rel=1e-12)
+
+    def test_near_duplicates_far_from_origin(self):
+        # |p|^2 ~ 4e6 rounds at ~1e-9, more than the within-cluster squared
+        # spread (~1e-12): the expanded form loses the inertia to rounding
+        # (so `history` may end a pass earlier), yet it must keep the
+        # labels and the centres.
+        rng = np.random.default_rng(13)
+        groups = rng.integers(0, 3, 200)
+        v = (1e3 + 1e-3 * rng.standard_normal((4, 3))[:, groups]
+             + 1e-6 * rng.standard_normal((4, 200)))
+        w = np.ones(200)
+        for seed in range(5):
+            result = kmeans(v, 3, w, seed=seed)
+            expected, _ = reference_kmeans(v, 3, w, seed=seed)
+            np.testing.assert_array_equal(result.labels, expected.labels)
+            np.testing.assert_allclose(result.centers, expected.centers,
+                                       rtol=1e-12, atol=0)
+            assert_labels_nearest(v, result)
 
 
 class TestFixedAttractors:

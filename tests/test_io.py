@@ -163,6 +163,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             checkpoint_load(bad)
 
+    @pytest.mark.parametrize("keep", [10, 16, 40])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        path = tmp_path / "full.ckpt"
+        checkpoint_save(make_checkpoint(4), path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="header"):
+            checkpoint_load(cut)
+
     def test_build_net_uses_best_or_current(self, tmp_path):
         ckpt = make_checkpoint(3)
         path = tmp_path / "e.ckpt"

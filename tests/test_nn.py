@@ -173,6 +173,13 @@ class TestLrSchedule:
         lr_schedule(st, 3)
         assert st.lr == 5e-4
 
+    def test_patience_sets_threshold(self):
+        st = AdamState(lr=1e-3)
+        lr_schedule(st, 1, patience=2)
+        assert st.lr == 1e-3
+        lr_schedule(st, 2, patience=2)
+        assert st.lr == 5e-4
+
     def test_halves_compose(self):
         st = AdamState(lr=1e-3)
         lr_schedule(st, 3)

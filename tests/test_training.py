@@ -104,6 +104,20 @@ class TestTraining:
             train(micro_corpus["train"], micro_corpus["validation"],
                   TrainSettings(**MICRO), tmp_path / "n.ckpt", tmp_path / "n.log")
 
+    def test_patience_lr_below_three_halves_rate(self, micro_corpus, tmp_path,
+                                                 monkeypatch):
+        import danet.training as training_mod
+
+        # no updates: the validation loss never improves after epoch 1
+        monkeypatch.setattr(training_mod, "danet_train_step", lambda *a, **k: 0.0)
+        settings = TrainSettings(**{**MICRO, "epochs_short": 4, "patience_lr": 2})
+        train(micro_corpus["train"], micro_corpus["validation"], settings,
+              tmp_path / "p.ckpt", tmp_path / "p.log")
+        rows = [line.split(",") for line in
+                (tmp_path / "p.log").read_text().strip().splitlines()[1:]]
+        phase1_lr = [float(r[2]) for r in rows if r[1] == "1"]
+        assert phase1_lr == [1e-3, 1e-3, 1e-3, 5e-4]
+
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train([], [], TrainSettings(**MICRO), tmp_path / "x.ckpt",
