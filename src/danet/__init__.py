@@ -8,7 +8,6 @@ synthetic-mixture corpus.
 """
 
 from .adanet import (
-    adanet_train_step,
     assignments_from_anchors,
     detect_active_sources,
     enumerate_subsets,
@@ -16,7 +15,6 @@ from .adanet import (
     select_attractor_set,
 )
 from .attractor import (
-    danet_train_step,
     estimate_masks,
     form_attractors,
     reconstruction_loss,
@@ -57,10 +55,17 @@ from .inference import (
     pca_project,
     separate,
 )
-from .masks import apply_masks, ibm, irm, wfm
+from .masks import ibm, irm, wfm
 from .metrics import ScoreReport, score_with_permutation, si_snr, si_snr_improvement, snr
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
-from .training import TrainSettings, TrainingDiverged, train
+from .training import (
+    TrainerState,
+    TrainSettings,
+    TrainingDiverged,
+    train,
+    train_step,
+    training_loss,
+)
 from .wavio import wav_read, wav_write
 
 __version__ = "0.1.0"

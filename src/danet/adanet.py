@@ -13,17 +13,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from . import masks as mask_ops
-from .attractor import (
-    estimate_masks,
-    form_attractors,
-    reconstruction_loss,
-    similarity_scores,
-    threshold_vector,
-)
+from .attractor import form_attractors
 from .autograd import exp, raw
-from .dsp import Waveform, flatten_tf, log_magnitude
-from .nn import AdamState, EmbedNet, adam_step
+from .dsp import Waveform
 
 __all__ = [
     "enumerate_subsets",
@@ -32,8 +24,6 @@ __all__ = [
     "SubsetSelection",
     "pit_loss",
     "detect_active_sources",
-    "adanet_loss",
-    "adanet_train_step",
 ]
 
 
@@ -147,57 +137,3 @@ def detect_active_sources(estimates: list) -> list:
         drop_db = 10.0 * np.log10(p_max / powers)
     return [i for i in range(len(powers)) if drop_db[i] <= 20.0]
 
-
-def adanet_loss(
-    net: EmbedNet,
-    mix_mag: np.ndarray,
-    source_mags: np.ndarray,
-    slots: int,
-    q: float = 0.9,
-) -> tuple:
-    """Differentiable permutation-invariant loss for the anchored model.
-
-    The model always produces ``slots`` masks; mixtures with fewer sources
-    get all-zero auxiliary target masks.  Subset selection runs on the
-    numeric embedding values, then the winning subset alone is rebuilt on
-    the tape so gradients reach the network and the anchors.  Returns
-    ``(loss, perm, subset)``.
-    """
-    c_actual = len(source_mags)
-    if c_actual > slots:
-        raise ValueError(f"{c_actual} sources exceed the {slots} output slots")
-    if slots > net.n_anchors:
-        raise ValueError(f"{slots} slots exceed the {net.n_anchors} anchors")
-    src_flat = np.stack([flatten_tf(s) for s in source_mags])
-    x_flat = flatten_tf(mix_mag)
-    targets = mask_ops.wfm(src_flat)
-    if c_actual < slots:
-        targets = np.vstack([targets, np.zeros((slots - c_actual, targets.shape[1]))])
-
-    v = net.embed(log_magnitude(mix_mag))
-    w = threshold_vector(x_flat, q)
-    choice = select_attractor_set(net.anchors.data, v.data, w, slots)
-
-    chosen = net.anchors.take_rows(list(choice.subset))
-    y_hat = assignments_from_anchors(chosen, v)
-    a = form_attractors(v, y_hat, w)
-    d = similarity_scores(a, v)
-    est = estimate_masks(d, net.config.mask_nl)
-    loss, perm = pit_loss(x_flat, targets, est)
-    return loss, perm, choice.subset
-
-
-def adanet_train_step(
-    net: EmbedNet,
-    opt: AdamState,
-    mix_mag: np.ndarray,
-    source_mags: np.ndarray,
-    slots: int,
-    q: float = 0.9,
-) -> tuple:
-    """One anchored gradient step; returns ``(loss, perm, subset)``."""
-    loss, perm, subset = adanet_loss(net, mix_mag, source_mags, slots, q)
-    net.zero_grad()
-    loss.backward()
-    adam_step(net.params, opt)
-    return loss.item(), perm, subset

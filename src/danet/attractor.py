@@ -2,7 +2,7 @@
 
 The formulas here are written once and accept either plain ndarrays or
 autograd tensors: numeric callers (inference, tests, subset selection) pass
-arrays, the training steps pass tensors and get a differentiable graph.
+arrays, the training loss passes tensors and gets a differentiable graph.
 
 Shapes: embeddings V are K x FT, speaker assignments Y and masks are
 C x FT, the threshold vector w and the mixture magnitude x are length FT,
@@ -11,10 +11,7 @@ attractors are C x K.
 
 import numpy as np
 
-from . import masks as mask_ops
 from .autograd import exp, raw, sigmoid
-from .dsp import flatten_tf, log_magnitude
-from .nn import AdamState, EmbedNet, adam_step
 
 __all__ = [
     "threshold_vector",
@@ -22,8 +19,6 @@ __all__ = [
     "similarity_scores",
     "estimate_masks",
     "reconstruction_loss",
-    "danet_loss",
-    "danet_train_step",
 ]
 
 
@@ -91,38 +86,3 @@ def reconstruction_loss(x, target, est):
     weighted = x * (target - est)
     return (weighted * weighted).sum() / c
 
-
-def danet_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
-               q: float = 0.9):
-    """Differentiable training loss with oracle speaker assignments.
-
-    ``mix_mag`` is the F x T mixture magnitude, ``source_mags`` is
-    C x F x T.  The assignment Y is the sources' ideal binary mask, the
-    loss target their Wiener-like mask.
-    """
-    src_flat = np.stack([flatten_tf(s) for s in source_mags])
-    x_flat = flatten_tf(mix_mag)
-    y = mask_ops.ibm(src_flat)
-    target = mask_ops.wfm(src_flat)
-
-    v = net.embed(log_magnitude(mix_mag))
-    w = threshold_vector(x_flat, q)
-    a = form_attractors(v, y, w)
-    d = similarity_scores(a, v)
-    est = estimate_masks(d, net.config.mask_nl)
-    return reconstruction_loss(x_flat, target, est)
-
-
-def danet_train_step(
-    net: EmbedNet,
-    opt: AdamState,
-    mix_mag: np.ndarray,
-    source_mags: np.ndarray,
-    q: float = 0.9,
-) -> float:
-    """One gradient step on the oracle-assignment loss; returns the loss."""
-    loss = danet_loss(net, mix_mag, source_mags, q)
-    net.zero_grad()
-    loss.backward()
-    adam_step(net.params, opt)
-    return loss.item()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step  # noqa: F401
+from .nn import AdamState, EmbedNet, EmbedNetConfig
 
 __all__ = ["Checkpoint", "checkpoint_save", "checkpoint_load"]
 
@@ -96,7 +96,6 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
             "hidden_sizes": list(ckpt.config.hidden_sizes),
             "embed_dim": ckpt.config.embed_dim,
             "n_freq": ckpt.config.n_freq,
-            "nonlinearity": ckpt.config.nonlinearity,
             "mask_nl": ckpt.config.mask_nl,
         },
         "n_anchors": ckpt.n_anchors,
@@ -117,7 +116,8 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
 
 
 def checkpoint_load(path) -> Checkpoint:
-    """Read a checkpoint, validating version and every array shape."""
+    """Read a checkpoint, validating version, header fields and every
+    array shape; anything malformed raises ValueError naming the field."""
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -134,30 +134,52 @@ def checkpoint_load(path) -> Checkpoint:
             f"file ({len(blob)} bytes)"
         )
     header = json.loads(blob[16 : 16 + header_len].decode())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    where = f"{path}: checkpoint header"
+    config = _field(header, "config", dict, where)
+    where_cfg = f"{where} config"
+    # version-1 files written before the field was dropped carry "tanh"
+    if config.get("nonlinearity", "tanh") != "tanh":
+        raise ValueError(f"{where_cfg}: field 'nonlinearity' must be 'tanh'")
+    hidden = _field(config, "hidden_sizes", list, where_cfg)
+    if not all(isinstance(h, int) and h > 0 for h in hidden):
+        raise ValueError(f"{where_cfg}: field 'hidden_sizes' is malformed")
     cfg = EmbedNetConfig(
-        context=header["config"]["context"],
-        hidden_sizes=tuple(header["config"]["hidden_sizes"]),
-        embed_dim=header["config"]["embed_dim"],
-        n_freq=header["config"]["n_freq"],
-        nonlinearity=header["config"]["nonlinearity"],
-        mask_nl=header["config"]["mask_nl"],
+        context=_field(config, "context", int, where_cfg),
+        hidden_sizes=tuple(hidden),
+        embed_dim=_field(config, "embed_dim", int, where_cfg),
+        n_freq=_field(config, "n_freq", int, where_cfg),
+        mask_nl=_field(config, "mask_nl", str, where_cfg),
     )
+    adam = _field(header, "adam", dict, where)
+    for key in ("lr", "beta1", "beta2", "eps"):
+        _field(adam, key, (int, float), f"{where} adam")
+    _field(adam, "step", int, f"{where} adam")
+    n_anchors = _field(header, "n_anchors", int, where)
+
     data = blob[16 + header_len :]
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for entry in _field(header, "arrays", list, where):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: field 'arrays' holds {entry!r}, not an object")
+        name = _field(entry, "name", str, f"{where} arrays entry")
+        where_arr = f"{path}: array '{name}'"
+        shape = tuple(_field(entry, "shape", list, where_arr))
+        if not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise ValueError(f"{where_arr}: field 'shape' is malformed")
+        start = _field(entry, "offset", int, where_arr)
+        if start < 0:
+            raise ValueError(f"{where_arr}: field 'offset' is negative ({start})")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + 8 * count
         if end > len(data):
-            raise ValueError(
-                f"{path}: array '{entry['name']}' extends past end of file"
-            )
-        arrays[entry["name"]] = (
+            raise ValueError(f"{where_arr}: extends past end of file")
+        arrays[name] = (
             np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
         )
 
-    expected = cfg.param_shapes(header["n_anchors"])
+    expected = cfg.param_shapes(n_anchors)
     for prefix in ("param/", "best/"):
         for name, shape in expected.items():
             key = prefix + name
@@ -169,13 +191,21 @@ def checkpoint_load(path) -> Checkpoint:
                     f"config requires {shape}"
                 )
     return Checkpoint(
-        model_kind=header["model_kind"],
+        model_kind=_field(header, "model_kind", str, where),
         config=cfg,
-        n_anchors=header["n_anchors"],
-        slots=header["slots"],
+        n_anchors=n_anchors,
+        slots=_field(header, "slots", int, where),
         arrays=arrays,
-        adam=header["adam"],
-        epoch=header["epoch"],
-        best_val_loss=header["best_val_loss"],
-        trainer=header["trainer"],
+        adam=adam,
+        epoch=_field(header, "epoch", int, where),
+        best_val_loss=_field(header, "best_val_loss", (int, float, type(None)), where),
+        trainer=_field(header, "trainer", dict, where),
     )
+
+
+def _field(block: dict, key: str, kind, where: str):
+    """``block[key]`` if present and an instance of ``kind``; else a
+    ValueError naming the field."""
+    if key not in block or not isinstance(block[key], kind):
+        raise ValueError(f"{where}: field '{key}' is missing or malformed")
+    return block[key]

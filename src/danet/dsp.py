@@ -84,6 +84,10 @@ class StftConfig:
     def window(self) -> np.ndarray:
         return sqrt_hann(self.window_len)
 
+    def n_frames(self, n_samples: int) -> int:
+        """Frames of a signal of ``n_samples``: 1 + (len - window_len) // hop."""
+        return 1 + (n_samples - self.window_len) // self.hop
+
 
 @dataclass
 class ComplexSpectrogram:
@@ -154,7 +158,7 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
         raise ValueError(
             f"signal too short: {x.size} samples, need at least {n}"
         )
-    n_frames = 1 + (x.size - n) // cfg.hop
+    n_frames = cfg.n_frames(x.size)
     idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(n)[None, :]
     frames = x[idx] * cfg.window
     spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1).T

@@ -14,15 +14,7 @@ import numpy as np
 from .adanet import select_attractor_set
 from .attractor import estimate_masks, similarity_scores, threshold_vector
 from .autograd import no_grad
-from .dsp import (
-    ComplexSpectrogram,
-    Waveform,
-    flatten_tf,
-    log_magnitude,
-    magnitude,
-    reconstruct,
-    stft,
-)
+from .dsp import Waveform, log_magnitude, magnitude, reconstruct, stft
 from .nn import EmbedNet
 
 __all__ = [
@@ -226,10 +218,11 @@ class PcaProjection:
 
 
 def pca_project(v: np.ndarray, dims: int = 3) -> PcaProjection:
-    """Principal components of the embedding columns via power iteration.
+    """Principal components of the embedding columns.
 
-    Components are extracted one at a time with deflation (tolerance
-    1e-9, deterministic start vectors), ordered by eigenvalue.
+    The components are the leading eigenvectors of the K x K covariance,
+    ordered by eigenvalue, each signed so that its largest-magnitude
+    entry is positive.
     """
     v = np.asarray(v, dtype=np.float64)
     k, n = v.shape
@@ -241,25 +234,10 @@ def pca_project(v: np.ndarray, dims: int = 3) -> PcaProjection:
     centered = v - mean[:, None]
     cov = (centered @ centered.T) / n
     total = float(np.trace(cov))
-    rng = np.random.default_rng(0)
-    components = np.empty((dims, k))
-    eigvals = np.empty(dims)
-    deflated = cov.copy()
-    for i in range(dims):
-        vec = rng.standard_normal(k)
-        vec /= np.linalg.norm(vec)
-        for _ in range(1000):
-            nxt = deflated @ vec
-            norm = np.linalg.norm(nxt)
-            if norm < 1e-300:  # null direction: any unit vector is an eigenvector
-                break
-            nxt /= norm
-            if min(np.linalg.norm(nxt - vec), np.linalg.norm(nxt + vec)) < 1e-9:
-                vec = nxt
-                break
-            vec = nxt
-        eigvals[i] = float(vec @ deflated @ vec)
-        components[i] = vec
-        deflated = deflated - eigvals[i] * np.outer(vec, vec)
+    eigvals, vecs = np.linalg.eigh(cov)           # ascending
+    eigvals = eigvals[::-1][:dims]
+    components = vecs[:, ::-1][:, :dims].T
+    peak = components[np.arange(dims), np.abs(components).argmax(axis=1)]
+    components = components * np.where(peak < 0, -1.0, 1.0)[:, None]
     explained = eigvals / total if total > 0 else np.zeros(dims)
     return PcaProjection(components @ centered, explained, components, mean)

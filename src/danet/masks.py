@@ -1,4 +1,4 @@
-"""Ideal mask oracles (IBM / IRM / WFM) and mask application.
+"""Ideal mask oracles (IBM / IRM / WFM).
 
 All functions take and return plain arrays: source magnitudes are C x FT
 (one flattened spectrogram row per source), masks are C x FT with entries
@@ -7,7 +7,7 @@ in [0, 1].
 
 import numpy as np
 
-__all__ = ["ibm", "irm", "wfm", "apply_masks"]
+__all__ = ["ibm", "irm", "wfm"]
 
 
 def ibm(source_mags: np.ndarray) -> np.ndarray:
@@ -42,13 +42,3 @@ def wfm(source_mags: np.ndarray) -> np.ndarray:
         masks = np.where(total > 0, sq / total, 1.0 / c)
     return masks
 
-
-def apply_masks(masks: np.ndarray, mix_mag: np.ndarray) -> np.ndarray:
-    """Per-source estimated magnitudes: elementwise mask * mixture."""
-    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    mix = np.asarray(mix_mag, dtype=np.float64).reshape(-1)
-    if masks.shape[1] != mix.size:
-        raise ValueError(
-            f"mask width {masks.shape[1]} does not match mixture length {mix.size}"
-        )
-    return masks * mix[None, :]

@@ -30,7 +30,6 @@ class EmbedNetConfig:
     hidden_sizes: tuple = (128, 128)
     embed_dim: int = 20                    # K
     n_freq: int = 129                      # F rows of the input spectrogram
-    nonlinearity: str = "tanh"
     mask_nl: str = "softmax"               # mask nonlinearity: softmax | sigmoid
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class EmbedNetConfig:
             raise ValueError("embed_dim must be >= 1")
         if self.context < 0:
             raise ValueError("context must be >= 0")
-        if self.nonlinearity != "tanh":
-            raise ValueError("only tanh hidden layers are supported")
         if self.mask_nl not in ("softmax", "sigmoid"):
             raise ValueError("mask_nl must be 'softmax' or 'sigmoid'")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))

@@ -9,22 +9,38 @@ optimizer and scheduler state, so an interrupted run resumed from disk
 retraces the uninterrupted trajectory bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .adanet import adanet_loss, adanet_train_step
-from .attractor import danet_loss, danet_train_step, form_attractors, threshold_vector
+from .adanet import assignments_from_anchors, pit_loss, select_attractor_set
+from .attractor import (
+    estimate_masks,
+    form_attractors,
+    reconstruction_loss,
+    similarity_scores,
+    threshold_vector,
+)
 from .autograd import no_grad
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
-from .dsp import Waveform, flatten_tf, log_magnitude, magnitude, stft
+from .dsp import StftConfig, flatten_tf, log_magnitude, magnitude, stft
 from .inference import fixed_attractors
-from .masks import ibm
+from .masks import ibm, wfm
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
 from .wavio import wav_read
 
-__all__ = ["TrainSettings", "TrainingDiverged", "train", "load_corpus"]
+__all__ = [
+    "TrainSettings",
+    "TrainerState",
+    "TrainingDiverged",
+    "train",
+    "train_step",
+    "training_loss",
+    "load_corpus",
+]
+
+_STFT = StftConfig()
 
 
 class TrainingDiverged(RuntimeError):
@@ -53,14 +69,37 @@ class TrainSettings:
     seed: int = 0
     stop_after_epochs: int | None = None   # interrupt cleanly after N global epochs
 
-    def embed_config(self, n_freq: int = 129) -> EmbedNetConfig:
+    def embed_config(self) -> EmbedNetConfig:
         return EmbedNetConfig(
             context=self.context,
             hidden_sizes=tuple(self.hidden_sizes),
             embed_dim=self.embed_dim,
-            n_freq=n_freq,
+            n_freq=_STFT.n_freq,
             mask_nl=self.mask_nl,
         )
+
+
+@dataclass
+class TrainerState:
+    """Curriculum position and patience counters, stored as
+    ``Checkpoint.trainer`` so a resumed run picks up where it stopped."""
+
+    phase: int = 1
+    epoch_in_phase: int = 0
+    since_best: int = 0
+    since_best_lr: int = 0
+    done: bool = False
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "TrainerState":
+        """Rebuild from a checkpoint's trainer block, naming a bad field."""
+        for f in fields(cls):
+            if not isinstance(block.get(f.name), f.type):
+                raise ValueError(
+                    f"checkpoint trainer block: field '{f.name}' is missing or "
+                    f"not {f.type.__name__}"
+                )
+        return cls(**{f.name: block[f.name] for f in fields(cls)})
 
 
 def load_corpus(rows: list) -> list:
@@ -87,11 +126,50 @@ def _chunks(n_frames: int, length: int) -> list:
     return [(s, length) for s in range(0, n_frames - length + 1, length)]
 
 
-def _loss_value(net, settings, slots, mix_mag, src_mags) -> float:
-    if settings.model == "adanet":
-        loss, _, _ = adanet_loss(net, mix_mag, src_mags, slots, settings.q)
+def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
+                  q: float = 0.9, slots: int | None = None):
+    """Differentiable reconstruction loss of one chunk, for either model.
+
+    ``mix_mag`` is the F x T mixture magnitude, ``source_mags`` is
+    C x F x T, and the target is the sources' Wiener-like mask.  A net
+    without anchors (DANet) takes the assignment Y from the sources' ideal
+    binary mask and scores its masks in source order.  A net with anchors
+    (ADANet) fills ``slots`` outputs (default C): sources it lacks get
+    all-zero target masks, Y comes from the anchor subset that wins
+    selection on the numeric embeddings, rebuilt on the tape so gradients
+    reach the anchors, and the loss is minimized over target permutations.
+    """
+    anchored = net.n_anchors > 0
+    c = len(source_mags)
+    slots = slots or c
+    if anchored and c > slots:
+        raise ValueError(f"{c} sources exceed the {slots} output slots")
+    src_flat = np.stack([flatten_tf(s) for s in source_mags])
+    x_flat = flatten_tf(mix_mag)
+    target = wfm(src_flat)
+    v = net.embed(log_magnitude(mix_mag))
+    w = threshold_vector(x_flat, q)
+    if anchored:
+        target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
+        subset = select_attractor_set(net.anchors.data, v.data, w, slots).subset
+        y = assignments_from_anchors(net.anchors.take_rows(list(subset)), v)
     else:
-        loss = danet_loss(net, mix_mag, src_mags, settings.q)
+        y = ibm(src_flat)
+    est = estimate_masks(similarity_scores(form_attractors(v, y, w), v),
+                         net.config.mask_nl)
+    if anchored:
+        return pit_loss(x_flat, target, est)[0]
+    return reconstruction_loss(x_flat, target, est)
+
+
+def train_step(net: EmbedNet, opt: AdamState, mix_mag: np.ndarray,
+               source_mags: np.ndarray, q: float = 0.9,
+               slots: int | None = None) -> float:
+    """One Adam step on :func:`training_loss`; returns the loss."""
+    loss = training_loss(net, mix_mag, source_mags, q, slots)
+    net.zero_grad()
+    loss.backward()
+    adam_step(net.params, opt)
     return loss.item()
 
 
@@ -101,7 +179,7 @@ def _validation_loss(net, settings, slots, corpus) -> float:
     for item in corpus:
         mix_mag, src_mags = _utterance_mags(item)
         with no_grad():
-            loss = _loss_value(net, settings, slots, mix_mag, src_mags)
+            loss = training_loss(net, mix_mag, src_mags, settings.q, slots).item()
         total += loss / mix_mag.size
     return total / len(corpus)
 
@@ -124,6 +202,35 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
     return fixed_attractors(sets) if sets else None
 
 
+def _write_checkpoint(path, model_kind: str, slots: int, net: EmbedNet,
+                      opt: AdamState, best_arrays: dict, best_val, epoch: int,
+                      state: TrainerState, fixed_table=None) -> Checkpoint:
+    """Save the full training state (current, best and Adam arrays)."""
+    arrays = {}
+    for name, p in net.params.items():
+        arrays[f"param/{name}"] = p.data.copy()
+        arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data)).copy()
+        arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data)).copy()
+    for name, arr in best_arrays.items():
+        arrays[f"best/{name}"] = arr.copy()
+    if fixed_table is not None:
+        arrays["fixed_attractors"] = np.asarray(fixed_table)
+    ckpt = Checkpoint(
+        model_kind=model_kind,
+        config=net.config,
+        n_anchors=net.n_anchors,
+        slots=slots,
+        arrays=arrays,
+        adam={"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
+              "eps": opt.eps, "step": opt.step},
+        epoch=epoch,
+        best_val_loss=best_val,
+        trainer=asdict(state),
+    )
+    checkpoint_save(ckpt, path)
+    return ckpt
+
+
 def train(
     train_rows: list,
     val_rows: list,
@@ -144,11 +251,18 @@ def train(
     val_corpus = load_corpus(val_rows)
     if not train_corpus or not val_corpus:
         raise ValueError("training and validation splits must be non-empty")
-    slots = settings.slots or max(item["C"] for item in train_corpus)
-    n_freq = 129
+    max_c = max(item["C"] for item in train_corpus)
+    # a DANet forms one attractor per source; only ADANet has fixed slots
+    slots = (settings.slots or max_c) if settings.model == "adanet" else max_c
 
     if resume:
         ckpt = checkpoint_load(ckpt_path)
+        if ckpt.model_kind != settings.model:
+            raise ValueError(
+                f"{ckpt_path}: checkpoint model_kind {ckpt.model_kind!r} does not "
+                f"match the requested model {settings.model!r}"
+            )
+        state = TrainerState.from_dict(ckpt.trainer)
         net = ckpt.build_net(best=False)
         opt = ckpt.build_adam()
         best_arrays = {
@@ -157,64 +271,35 @@ def train(
             if name.startswith("best/")
         }
         best_val = ckpt.best_val_loss
-        state = dict(ckpt.trainer)
         epoch = ckpt.epoch
         log_fh = open(log_path, "a")
     else:
         n_anchors = settings.anchors if settings.model == "adanet" else 0
-        net = EmbedNet(settings.embed_config(n_freq), seed=settings.seed,
+        net = EmbedNet(settings.embed_config(), seed=settings.seed,
                        n_anchors=n_anchors)
         opt = AdamState(lr=settings.lr)
         best_arrays = {name: p.data.copy() for name, p in net.params.items()}
         best_val = None
-        state = {"phase": 1, "epoch_in_phase": 0, "since_best": 0,
-                 "since_best_lr": 0, "done": False}
+        state = TrainerState()
         epoch = 0
         log_fh = open(log_path, "w")
         log_fh.write("epoch,phase,lr,train_loss,val_loss,new_best\n")
 
-    def write_checkpoint():
-        arrays = {}
-        for name, p in net.params.items():
-            arrays[f"param/{name}"] = p.data.copy()
-        for name in net.params:
-            arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(net.params[name].data)).copy()
-            arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(net.params[name].data)).copy()
-        for name, arr in best_arrays.items():
-            arrays[f"best/{name}"] = arr.copy()
-        if state.get("fixed_table") is not None:
-            arrays["fixed_attractors"] = np.asarray(state["fixed_table"])
-        ckpt = Checkpoint(
-            model_kind=settings.model,
-            config=net.config,
-            n_anchors=net.n_anchors,
-            slots=slots if settings.model == "adanet" else max(
-                item["C"] for item in train_corpus),
-            arrays=arrays,
-            adam={"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-                  "eps": opt.eps, "step": opt.step},
-            epoch=epoch,
-            best_val_loss=best_val,
-            trainer={k: v for k, v in state.items() if k != "fixed_table"},
-        )
-        checkpoint_save(ckpt, ckpt_path)
-        return ckpt
-
     try:
-        while not state["done"]:
+        while not state.done:
             if (settings.stop_after_epochs is not None
                     and epoch >= settings.stop_after_epochs):
                 break
             epoch += 1
-            state["epoch_in_phase"] += 1
-            chunk_len = (settings.chunk_short if state["phase"] == 1
+            state.epoch_in_phase += 1
+            chunk_len = (settings.chunk_short if state.phase == 1
                          else settings.chunk_long)
             lr_this_epoch = opt.lr
 
             order = []
             for utt_idx, item in enumerate(train_corpus):
-                n_frames = 1 + (len(item["mix"]) - 256) // 64
-                for start, length in _chunks(n_frames, chunk_len):
+                for start, length in _chunks(_STFT.n_frames(len(item["mix"])),
+                                             chunk_len):
                     order.append((utt_idx, start, length))
             rng = np.random.default_rng(
                 np.random.SeedSequence([settings.seed, epoch]))
@@ -225,12 +310,7 @@ def train(
                 mix_mag, src_mags = _utterance_mags(train_corpus[utt_idx])
                 mix_chunk = mix_mag[:, start : start + length]
                 src_chunk = src_mags[:, :, start : start + length]
-                if settings.model == "adanet":
-                    loss, _, _ = adanet_train_step(
-                        net, opt, mix_chunk, src_chunk, slots, settings.q)
-                else:
-                    loss = danet_train_step(
-                        net, opt, mix_chunk, src_chunk, settings.q)
+                loss = train_step(net, opt, mix_chunk, src_chunk, settings.q, slots)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, step {step}")
@@ -245,45 +325,46 @@ def train(
             if improved:
                 best_val = val_loss
                 best_arrays = {name: p.data.copy() for name, p in net.params.items()}
-                state["since_best"] = 0
-                state["since_best_lr"] = 0
+                state.since_best = 0
+                state.since_best_lr = 0
             else:
-                state["since_best"] += 1
-                state["since_best_lr"] += 1
+                state.since_best += 1
+                state.since_best_lr += 1
 
             log_fh.write(
-                f"{epoch},{state['phase']},{lr_this_epoch!r},"
+                f"{epoch},{state.phase},{lr_this_epoch!r},"
                 f"{train_loss!r},{val_loss!r},{int(improved)}\n"
             )
             log_fh.flush()
 
-            if state["since_best_lr"] >= settings.patience_lr:
-                lr_schedule(opt, state["since_best_lr"], settings.patience_lr)
-                state["since_best_lr"] = 0
+            if state.since_best_lr >= settings.patience_lr:
+                lr_schedule(opt, state.since_best_lr, settings.patience_lr)
+                state.since_best_lr = 0
 
-            if state["phase"] == 1:
-                if (state["since_best"] >= settings.patience_switch
-                        or state["epoch_in_phase"] >= settings.epochs_short):
-                    state["phase"] = 2
-                    state["epoch_in_phase"] = 0
-                    state["since_best"] = 0
-                    state["since_best_lr"] = 0
+            if state.phase == 1:
+                if (state.since_best >= settings.patience_switch
+                        or state.epoch_in_phase >= settings.epochs_short):
+                    state.phase = 2
+                    state.epoch_in_phase = 0
+                    state.since_best = 0
+                    state.since_best_lr = 0
                     opt.lr = settings.lr_long
             else:
-                if (state["since_best"] >= settings.patience_stop
-                        or state["epoch_in_phase"] >= settings.epochs_long):
-                    state["done"] = True
+                if (state.since_best >= settings.patience_stop
+                        or state.epoch_in_phase >= settings.epochs_long):
+                    state.done = True
 
-            write_checkpoint()
+            _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
+                              best_arrays, best_val, epoch, state)
     finally:
         log_fh.close()
 
     # Table of averaged oracle attractors for the fixed-attractor strategy.
+    fixed_table = None
     if settings.model == "danet":
         best_net = EmbedNet(net.config, seed=0, n_anchors=net.n_anchors)
         for name in best_net.params:
             best_net.params[name].data = best_arrays[name].copy()
-        table_slots = max(item["C"] for item in train_corpus)
-        state["fixed_table"] = _fixed_attractor_table(
-            best_net, settings, train_corpus, table_slots)
-    return write_checkpoint()
+        fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, max_c)
+    return _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
+                             best_arrays, best_val, epoch, state, fixed_table)

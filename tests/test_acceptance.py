@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 
 from danet.adanet import (
-    adanet_loss,
     assignments_from_anchors,
     detect_active_sources,
     pit_loss,
     select_attractor_set,
 )
-from danet.attractor import danet_loss, form_attractors
+from danet.attractor import form_attractors
 from danet.data import build_manifest, generate_dataset, load_index
 from danet.dsp import Waveform, flatten_tf, istft, magnitude, reconstruct, stft
 from danet.inference import AnchoredStrategy, KMeansStrategy, separate
 from danet.masks import wfm
 from danet.metrics import score_with_permutation, si_snr
 from danet.nn import EmbedNet, EmbedNetConfig
-from danet.training import TrainSettings, train
+from danet.training import TrainSettings, train, training_loss
 from danet.wavio import wav_read
 
 # Golden numbers pinned from the reference run on the standard corpus
@@ -195,7 +194,7 @@ def test_criterion_2_gradient_fidelity():
 
     net = EmbedNet(cfg, seed=1)
     assert net.n_params() <= 2000
-    frac, worst, total = _gradient_fidelity(lambda: danet_loss(net, mix, src), net)
+    frac, worst, total = _gradient_fidelity(lambda: training_loss(net, mix, src), net)
     report(
         "criterion 2a (DANet loss gradients)",
         frac >= 0.99,
@@ -205,7 +204,7 @@ def test_criterion_2_gradient_fidelity():
     net2 = EmbedNet(cfg, seed=1, n_anchors=6)
     assert net2.n_params() <= 2000
     frac2, worst2, total2 = _gradient_fidelity(
-        lambda: adanet_loss(net2, mix, src, slots=2)[0], net2
+        lambda: training_loss(net2, mix, src, slots=2), net2
     )
     report(
         "criterion 2b (ADANet PIT loss gradients)",

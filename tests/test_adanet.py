@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from danet.adanet import (
-    adanet_train_step,
     assignments_from_anchors,
     detect_active_sources,
     enumerate_subsets,
     pit_loss,
     select_attractor_set,
 )
-from danet.attractor import form_attractors, reconstruction_loss
-from danet.dsp import Waveform
+from danet.attractor import (
+    estimate_masks,
+    form_attractors,
+    reconstruction_loss,
+    similarity_scores,
+    threshold_vector,
+)
+from danet.dsp import Waveform, flatten_tf, log_magnitude
+from danet.masks import wfm
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
+from danet.training import train_step, training_loss
 
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
@@ -225,27 +232,37 @@ class TestAdanetTrainStep:
         mix, src = toy_mixture(seed=9)
         net = EmbedNet(TINY, seed=10, n_anchors=6)
         opt = AdamState(lr=1e-3)
-        losses = [adanet_train_step(net, opt, mix, src, slots=2)[0]
-                  for _ in range(200)]
+        losses = [train_step(net, opt, mix, src, slots=2) for _ in range(200)]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
     def test_anchors_receive_gradient(self):
         mix, src = toy_mixture(seed=11)
         net = EmbedNet(TINY, seed=12, n_anchors=6)
         before = net.anchors.data.copy()
-        adanet_train_step(net, AdamState(lr=1e-3), mix, src, slots=2)
+        train_step(net, AdamState(lr=1e-3), mix, src, slots=2)
         assert not np.array_equal(net.anchors.data, before)
 
     def test_more_sources_than_slots_rejected(self):
         mix, src = toy_mixture(seed=13, c=3)
         net = EmbedNet(TINY, seed=14, n_anchors=6)
         with pytest.raises(ValueError):
-            adanet_train_step(net, AdamState(), mix, src, slots=2)
+            train_step(net, AdamState(), mix, src, slots=2)
 
     def test_zero_padded_slot_trains(self):
-        # 2 sources under a 3-slot model runs and returns a 3-permutation
+        # 2 sources under a 3-slot model: the loss is PIT over the winning
+        # subset's masks against the two WFM targets plus one all-zero row
         mix, src = toy_mixture(seed=15, c=2)
         net = EmbedNet(TINY, seed=16, n_anchors=6)
-        loss, perm, subset = adanet_train_step(net, AdamState(), mix, src, slots=3)
+        v = net.embed(log_magnitude(mix)).data
+        x = flatten_tf(mix)
+        w = threshold_vector(x, 0.9)
+        choice = select_attractor_set(net.anchors.data, v, w, 3)
+        assert len(choice.subset) == 3
+        est = estimate_masks(similarity_scores(choice.attractors, v), "softmax")
+        targets = np.vstack([wfm(np.stack([flatten_tf(s) for s in src])),
+                             np.zeros((1, x.size))])
+        expected, perm = pit_loss(x, targets, est)
         assert sorted(perm) == [0, 1, 2]
-        assert len(subset) == 3
+        assert training_loss(net, mix, src, slots=3).item() == pytest.approx(
+            expected, rel=1e-12)
+        assert np.isfinite(train_step(net, AdamState(), mix, src, slots=3))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from danet.attractor import (
-    danet_train_step,
     estimate_masks,
     form_attractors,
     reconstruction_loss,
@@ -14,6 +13,7 @@ from danet.attractor import (
 from danet.autograd import Tensor
 from danet.masks import ibm
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
+from danet.training import train_step, training_loss
 
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
@@ -199,7 +199,7 @@ class TestDanetTrainStep:
         mix, src = toy_mixture(seed=12)
         net = EmbedNet(TINY, seed=13)
         opt = AdamState(lr=1e-3)
-        losses = [danet_train_step(net, opt, mix, src) for _ in range(200)]
+        losses = [train_step(net, opt, mix, src) for _ in range(200)]
         first = np.mean(losses[:20])
         last = np.mean(losses[-20:])
         assert last < first
@@ -220,9 +220,28 @@ class TestDanetTrainStep:
         )
         np.testing.assert_allclose(m1, m2[::-1], atol=1e-12)
 
+    def test_loss_scores_oracle_masks_in_source_order(self):
+        # no permutation search: target row i meets mask i even where the
+        # swapped pairing scores lower, as it does for this mixture and net
+        from danet.adanet import pit_loss
+        from danet.dsp import flatten_tf
+        from danet.masks import wfm
+
+        mix, src = toy_mixture(seed=48)
+        net = EmbedNet(TINY, seed=49)
+        v = net.embed(np.log(np.maximum(mix, 1e-8))).data
+        src_flat = np.stack([flatten_tf(s) for s in src])
+        x = flatten_tf(mix)
+        a = form_attractors(v, ibm(src_flat), threshold_vector(x, 0.9))
+        est = estimate_masks(similarity_scores(a, v), "softmax")
+        expected = reconstruction_loss(x, wfm(src_flat), est)
+        best, perm = pit_loss(x, wfm(src_flat), est)
+        assert perm == (1, 0) and best < expected
+        assert training_loss(net, mix, src, slots=3).item() == expected
+
     def test_single_source_softmax_mask_is_all_ones(self):
         mix, src = toy_mixture(seed=16, c=1)
         net = EmbedNet(TINY, seed=17)
         opt = AdamState()
-        loss = danet_train_step(net, opt, mix, src)
+        loss = train_step(net, opt, mix, src)
         assert loss < 1e-20  # single-source softmax mask == WFM target == 1

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ MICRO_TRAIN = [
     "--epochs-short", "2", "--epochs-long", "1",
     "--context", "1", "--hidden", "12", "--embed-dim", "4",
 ]
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(encoded)) + encoded
+                    + blob[16 + header_len :])
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +147,29 @@ class TestTrain:
         ckpt = checkpoint_load(trained_adanet)
         assert ckpt.arrays["best/anchors"].shape == (6, 4)
 
+    def test_resume_with_other_model_exits_two(self, corpus, trained_adanet,
+                                                tmp_path, capsys):
+        ckpt = tmp_path / "adanet.ckpt"
+        ckpt.write_bytes(trained_adanet.read_bytes())
+        # --model defaults to danet, which the anchored checkpoint is not
+        assert main([
+            "train", "--data", str(corpus), "--out", str(ckpt), "--seed", "0",
+            "--resume", *MICRO_TRAIN,
+        ]) == 2
+        assert "model_kind" in capsys.readouterr().err
+        assert ckpt.read_bytes() == trained_adanet.read_bytes()
+
+    def test_resume_without_trainer_phase_exits_two(self, corpus, trained,
+                                                    tmp_path, capsys):
+        ckpt = tmp_path / "nophase.ckpt"
+        rewrite_header(trained, ckpt, lambda h: h["trainer"].pop("phase"))
+        assert main([
+            "train", "--data", str(corpus), "--out", str(ckpt), "--seed", "0",
+            "--resume", *MICRO_TRAIN,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "'phase'" in err and "Traceback" not in err
+
     def test_missing_data_runtime_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2
@@ -197,6 +232,18 @@ class TestSeparate:
         ]) == 2
         err = capsys.readouterr().err
         assert "header" in err and "Traceback" not in err
+
+    def test_header_without_config_exits_two(self, corpus, trained, tmp_path,
+                                             capsys):
+        ckpt = tmp_path / "noconfig.ckpt"
+        rewrite_header(trained, ckpt, lambda h: h.pop("config"))
+        row = load_index(corpus / "test" / "index.jsonl")[0]
+        assert main([
+            "separate", "--checkpoint", str(ckpt),
+            "--input", str(row["mixture_path"]), "--out", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "'config'" in err and "Traceback" not in err
 
     def test_auto_requires_anchored(self, corpus, trained, tmp_path):
         row = load_index(corpus / "test" / "index.jsonl")[0]

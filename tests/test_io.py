@@ -1,5 +1,6 @@
 """WAV codec validation and checkpoint round-trips."""
 
+import json
 import struct
 
 import numpy as np
@@ -123,6 +124,17 @@ def make_checkpoint(seed=0) -> Checkpoint:
     )
 
 
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(encoded)) + encoded
+                    + blob[16 + header_len :])
+
+
 class TestCheckpoint:
     def test_save_load_save_identical_bytes(self, tmp_path):
         ckpt = make_checkpoint()
@@ -181,3 +193,46 @@ class TestCheckpoint:
         current = loaded.build_net(best=False)
         np.testing.assert_array_equal(best.params["w0"].data, ckpt.arrays["best/w0"])
         np.testing.assert_array_equal(current.params["w0"].data, ckpt.arrays["param/w0"])
+
+    def test_header_without_config_rejected(self, tmp_path):
+        checkpoint_save(make_checkpoint(5), tmp_path / "ok.ckpt")
+        rewrite_header(tmp_path / "ok.ckpt", tmp_path / "bad.ckpt",
+                       lambda h: h.pop("config"))
+        with pytest.raises(ValueError, match="'config'"):
+            checkpoint_load(tmp_path / "bad.ckpt")
+
+    def test_non_list_arrays_rejected(self, tmp_path):
+        checkpoint_save(make_checkpoint(6), tmp_path / "ok.ckpt")
+        rewrite_header(tmp_path / "ok.ckpt", tmp_path / "bad.ckpt",
+                       lambda h: h.update(arrays={"param/w0": 0}))
+        with pytest.raises(ValueError, match="'arrays'"):
+            checkpoint_load(tmp_path / "bad.ckpt")
+
+    def test_negative_array_offset_names_the_array(self, tmp_path):
+        checkpoint_save(make_checkpoint(7), tmp_path / "ok.ckpt")
+
+        def edit(header):
+            entry = next(e for e in header["arrays"] if e["name"] == "param/w0")
+            entry["offset"] = -8
+
+        rewrite_header(tmp_path / "ok.ckpt", tmp_path / "bad.ckpt", edit)
+        with pytest.raises(ValueError, match="'param/w0'.*offset"):
+            checkpoint_load(tmp_path / "bad.ckpt")
+
+    def test_version_one_nonlinearity_key_accepted(self, tmp_path):
+        # files written while the config still had the field read as before
+        ckpt = make_checkpoint(8)
+        checkpoint_save(ckpt, tmp_path / "ok.ckpt")
+        rewrite_header(tmp_path / "ok.ckpt", tmp_path / "old.ckpt",
+                       lambda h: h["config"].update(nonlinearity="tanh"))
+        loaded = checkpoint_load(tmp_path / "old.ckpt")
+        assert loaded.config == ckpt.config
+        checkpoint_save(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "ok.ckpt").read_bytes()
+
+    def test_other_nonlinearity_rejected(self, tmp_path):
+        checkpoint_save(make_checkpoint(9), tmp_path / "ok.ckpt")
+        rewrite_header(tmp_path / "ok.ckpt", tmp_path / "bad.ckpt",
+                       lambda h: h["config"].update(nonlinearity="relu"))
+        with pytest.raises(ValueError, match="'nonlinearity'"):
+            checkpoint_load(tmp_path / "bad.ckpt")

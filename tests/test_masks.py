@@ -1,9 +1,8 @@
 """Oracle mask definitions and their algebra."""
 
 import numpy as np
-import pytest
 
-from danet.masks import apply_masks, ibm, irm, wfm
+from danet.masks import ibm, irm, wfm
 
 
 class TestIbm:
@@ -75,32 +74,3 @@ class TestWfm:
         cols = np.arange(mags.shape[1])
         assert np.all(w[weaker, cols] <= r[weaker, cols] + 1e-12)
 
-
-class TestApply:
-    def test_ones_masks_reproduce_mixture(self):
-        mix = np.array([1.0, 2.0, 3.0])
-        est = apply_masks(np.ones((2, 3)), mix)
-        np.testing.assert_array_equal(est, [mix, mix])
-
-    def test_zero_masks_give_zero(self):
-        assert np.all(apply_masks(np.zeros((2, 3)), np.ones(3)) == 0)
-
-    def test_irm_on_additive_magnitudes_recovers_sources(self):
-        # when |x| is defined as the sum of source magnitudes, IRM masking
-        # reconstructs each source exactly
-        rng = np.random.default_rng(5)
-        srcs = rng.uniform(0, 1, (3, 50))
-        mix = srcs.sum(axis=0)
-        est = apply_masks(irm(srcs), mix)
-        np.testing.assert_allclose(est, srcs, atol=1e-12)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            apply_masks(np.ones((2, 3)), np.ones(4))
-
-    def test_sum_to_one_masks_partition_the_mixture(self):
-        rng = np.random.default_rng(6)
-        srcs = rng.uniform(0, 1, (3, 80))
-        mix = rng.uniform(0, 2, 80)
-        est = apply_masks(ibm(srcs), mix)
-        np.testing.assert_allclose(est.sum(axis=0), mix, atol=1e-12)

@@ -1,11 +1,13 @@
 """Curriculum trainer: determinism, resume equivalence, divergence guard."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from danet.checkpoint import checkpoint_load
+from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
-from danet.training import TrainSettings, TrainingDiverged, train
+from danet.training import TrainerState, TrainSettings, TrainingDiverged, train
 
 MICRO = dict(
     chunk_short=40,
@@ -60,24 +62,63 @@ class TestTraining:
         assert (tmp_path / "s0.log").read_bytes() != (tmp_path / "s1.log").read_bytes()
 
     def test_resume_reproduces_uninterrupted_run(self, micro_corpus, tmp_path):
-        straight = train(
-            micro_corpus["train"], micro_corpus["validation"],
-            TrainSettings(**MICRO), tmp_path / "full.ckpt", tmp_path / "full.log",
-        )
-        # interrupted after the first epoch, then resumed to completion
-        train(
-            micro_corpus["train"], micro_corpus["validation"],
-            TrainSettings(**{**MICRO, "stop_after_epochs": 1}),
-            tmp_path / "part.ckpt", tmp_path / "part.log",
-        )
-        resumed = train(
-            micro_corpus["train"], micro_corpus["validation"],
-            TrainSettings(**MICRO), tmp_path / "part.ckpt", tmp_path / "part.log",
-            resume=True,
-        )
-        assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
-        assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "part.ckpt").read_bytes()
-        assert straight.best_val_loss == resumed.best_val_loss
+        for kind in ({"model": "danet"}, {"model": "adanet", "anchors": 6}):
+            out = tmp_path / kind["model"]
+            out.mkdir()
+            straight = train(
+                micro_corpus["train"], micro_corpus["validation"],
+                TrainSettings(**MICRO, **kind), out / "full.ckpt", out / "full.log",
+            )
+            # interrupted after the first epoch, then resumed to completion
+            train(
+                micro_corpus["train"], micro_corpus["validation"],
+                TrainSettings(**MICRO, **kind, stop_after_epochs=1),
+                out / "part.ckpt", out / "part.log",
+            )
+            resumed = train(
+                micro_corpus["train"], micro_corpus["validation"],
+                TrainSettings(**MICRO, **kind), out / "part.ckpt", out / "part.log",
+                resume=True,
+            )
+            assert (out / "full.log").read_bytes() == (out / "part.log").read_bytes()
+            assert (out / "full.ckpt").read_bytes() == (out / "part.ckpt").read_bytes()
+            assert straight.best_val_loss == resumed.best_val_loss
+
+    def test_resume_rejects_other_model_kind(self, micro_corpus, tmp_path):
+        adanet = {**MICRO, "model": "adanet", "anchors": 6}
+        train(micro_corpus["train"], micro_corpus["validation"],
+              TrainSettings(**adanet, stop_after_epochs=1),
+              tmp_path / "a.ckpt", tmp_path / "a.log")
+        before = (tmp_path / "a.ckpt").read_bytes()
+        with pytest.raises(ValueError, match="model_kind"):
+            train(micro_corpus["train"], micro_corpus["validation"],
+                  TrainSettings(**MICRO), tmp_path / "a.ckpt", tmp_path / "a.log",
+                  resume=True)
+        assert (tmp_path / "a.ckpt").read_bytes() == before
+
+    def test_resume_rejects_trainer_block_without_phase(self, micro_corpus, tmp_path):
+        train(micro_corpus["train"], micro_corpus["validation"],
+              TrainSettings(**MICRO, stop_after_epochs=1),
+              tmp_path / "t.ckpt", tmp_path / "t.log")
+        ckpt = checkpoint_load(tmp_path / "t.ckpt")
+        del ckpt.trainer["phase"]
+        checkpoint_save(ckpt, tmp_path / "t.ckpt")
+        with pytest.raises(ValueError, match="'phase'"):
+            train(micro_corpus["train"], micro_corpus["validation"],
+                  TrainSettings(**MICRO), tmp_path / "t.ckpt", tmp_path / "t.log",
+                  resume=True)
+
+    def test_trainer_state_round_trips_through_checkpoint(self, micro_corpus,
+                                                          tmp_path):
+        train(micro_corpus["train"], micro_corpus["validation"],
+              TrainSettings(**MICRO, stop_after_epochs=1),
+              tmp_path / "s.ckpt", tmp_path / "s.log")
+        assert checkpoint_load(tmp_path / "s.ckpt").trainer == {
+            "phase": 1, "epoch_in_phase": 1, "since_best": 0,
+            "since_best_lr": 0, "done": False}
+        block = {"phase": 2, "epoch_in_phase": 3, "since_best": 2,
+                 "since_best_lr": 1, "done": True}
+        assert asdict(TrainerState.from_dict(block)) == block
 
     def test_checkpoint_carries_anchor_array_for_adanet(self, micro_corpus, tmp_path):
         settings = TrainSettings(**{**MICRO, "model": "adanet", "anchors": 6})
@@ -98,7 +139,7 @@ class TestTraining:
                                                   monkeypatch):
         import danet.training as training_mod
 
-        monkeypatch.setattr(training_mod, "danet_train_step",
+        monkeypatch.setattr(training_mod, "train_step",
                             lambda *a, **k: float("nan"))
         with pytest.raises(TrainingDiverged, match="epoch 1, step 0"):
             train(micro_corpus["train"], micro_corpus["validation"],
@@ -109,7 +150,7 @@ class TestTraining:
         import danet.training as training_mod
 
         # no updates: the validation loss never improves after epoch 1
-        monkeypatch.setattr(training_mod, "danet_train_step", lambda *a, **k: 0.0)
+        monkeypatch.setattr(training_mod, "train_step", lambda *a, **k: 0.0)
         settings = TrainSettings(**{**MICRO, "epochs_short": 4, "patience_lr": 2})
         train(micro_corpus["train"], micro_corpus["validation"], settings,
               tmp_path / "p.ckpt", tmp_path / "p.log")
