@@ -22,6 +22,7 @@ from danet import (
     stft,
     wfm,
 )
+from danet.dsp import WINDOW_LEN
 
 # Two sources an octave-ish apart, slowly amplitude-modulated.
 spec = MixtureSpec(
@@ -38,12 +39,12 @@ print(f"mixture: {len(mixture)} samples at {mixture.sample_rate} Hz")
 # Analysis/synthesis is exact away from the first/last window.
 spec_mix = stft(mixture)
 rebuilt = istft(spec_mix)
-interior = slice(256, len(rebuilt) - 256)
+interior = slice(WINDOW_LEN, len(rebuilt) - WINDOW_LEN)
 err = np.abs(rebuilt.samples[interior] - mixture.samples[interior]).max()
 print(f"STFT round-trip interior error: {err:.2e}")
 
 # Oracle masks from the reference magnitudes.
-src_flat = np.stack([flatten_tf(magnitude(stft(s)).values) for s in sources])
+src_flat = np.stack([flatten_tf(magnitude(stft(s))) for s in sources])
 for name, oracle in [("IBM", ibm), ("IRM", irm), ("WFM", wfm)]:
     masks = oracle(src_flat)
     estimates = [reconstruct(masks[i], spec_mix) for i in range(2)]

@@ -15,15 +15,14 @@ import numpy as np
 
 from danet import (
     build_manifest,
+    embed_mixture,
     flatten_tf,
     form_attractors,
     generate_dataset,
     ibm,
-    log_magnitude,
     magnitude,
     pca_project,
     stft,
-    threshold_vector,
     train,
     wav_read,
 )
@@ -47,10 +46,8 @@ row = load_index(work / "test" / "index.jsonl")[0]
 mixture = wav_read(row["mixture_path"])
 refs = [wav_read(p) for p in row["source_paths"]]
 
-mag = magnitude(stft(mixture))
-v = net.embed(log_magnitude(mag)).data
-w = threshold_vector(mag.flatten(), 0.9)
-src = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
+_, v, w = embed_mixture(net, mixture, 0.9)
+src = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
 labels = ibm(src).argmax(axis=0)
 attractors = form_attractors(v, ibm(src), w)
 

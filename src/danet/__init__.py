@@ -35,8 +35,6 @@ from .data import (
 )
 from .dsp import (
     ComplexSpectrogram,
-    MagnitudeSpectrogram,
-    StftConfig,
     Waveform,
     flatten_tf,
     istft,
@@ -50,6 +48,7 @@ from .inference import (
     AnchoredStrategy,
     FixedStrategy,
     KMeansStrategy,
+    embed_mixture,
     fixed_attractors,
     kmeans,
     pca_project,

@@ -51,7 +51,6 @@ class SubsetSelection:
     subset: tuple
     attractors: np.ndarray          # C x K
     similarities: list              # max off-diagonal of A_p A_p^T per subset
-    assignment: np.ndarray          # C x FT soft assignment of the winner
 
 
 def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -85,10 +84,10 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
             s_p = 0.0
         sims.append(s_p)
         if best is None or s_p < sims[best[0]]:
-            best = (p, subset, a, y_hat)
+            best = (p, subset, a)
     if best is None:
         raise ValueError("every anchor subset left a source empty under threshold")
-    return SubsetSelection(best[0], best[1], best[2], sims, best[3])
+    return SubsetSelection(*best, sims)
 
 
 def pit_loss(x, targets, estimates):

@@ -13,15 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .adanet import detect_active_sources
-from .attractor import form_attractors, threshold_vector
-from .autograd import no_grad
+from .attractor import form_attractors
 from .checkpoint import checkpoint_load
 from .data import build_manifest, generate_dataset, load_index
-from .dsp import flatten_tf, log_magnitude, magnitude, reconstruct, stft
+from .dsp import flatten_tf, magnitude, reconstruct, stft
 from .inference import (
     AnchoredStrategy,
     FixedStrategy,
     KMeansStrategy,
+    embed_mixture,
     pca_project,
     separate,
 )
@@ -310,7 +310,7 @@ def cmd_evaluate(opts) -> int:
             estimates = [mixture] * c
         elif opts["oracle"] is not None:
             spec = stft(mixture)
-            src_flat = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
+            src_flat = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
             oracle_masks = {"wfm": wfm, "irm": irm, "ibm": ibm}[opts["oracle"]](src_flat)
             estimates = [reconstruct(oracle_masks[i], spec) for i in range(c)]
         else:
@@ -357,13 +357,8 @@ def cmd_diagnose(opts) -> int:
     ckpt, net = _load_net(opts)
     mixture = wav_read(opts["input"])
     refs = [wav_read(Path(p.strip())) for p in str(opts["refs"]).split(",")]
-    spec = stft(mixture)
-    mag = magnitude(spec)
-    x_flat = mag.flatten()
-    with no_grad():
-        v = net.embed(log_magnitude(mag)).data
-    w = threshold_vector(x_flat, opts["q"])
-    src_flat = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
+    _, v, w = embed_mixture(net, mixture, opts["q"])
+    src_flat = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
     labels = np.argmax(src_flat, axis=0)
     attractors = form_attractors(v, ibm(src_flat), w)
     dims = min(3, net.config.embed_dim)

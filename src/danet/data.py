@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import SAMPLE_RATE, Waveform
 from .wavio import wav_write
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "generate_dataset",
     "load_index",
 ]
-
-SAMPLE_RATE = 8000
 
 
 @dataclass(frozen=True)
@@ -58,24 +56,23 @@ class DatasetManifest:
     split: str
     mixtures: list = field(default_factory=list)
     seed: int = 0
-    sample_rate: int = SAMPLE_RATE
 
 
-def synth_source(spec: SourceSpec, sample_rate: int = SAMPLE_RATE) -> Waveform:
+def synth_source(spec: SourceSpec) -> Waveform:
     """Harmonic complex with random phases from the seed, peak 0.5.
 
     Partial k (k = 1..n_harmonics) sits at k*f0 with amplitude 1/k; the
     whole sum is modulated by 0.5*(1+sin(2*pi*am_rate*t)) when am_rate > 0
     and then peak-normalized.
     """
-    if spec.f0 * spec.n_harmonics >= sample_rate / 2:
+    if spec.f0 * spec.n_harmonics >= SAMPLE_RATE / 2:
         raise ValueError(
             f"harmonic {spec.n_harmonics}*{spec.f0} Hz reaches the Nyquist limit"
         )
     if spec.duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(round(spec.duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(spec.duration * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     rng = np.random.default_rng(spec.seed)
     phases = rng.uniform(0, 2 * np.pi, size=spec.n_harmonics)
     x = np.zeros(n)
@@ -85,7 +82,7 @@ def synth_source(spec: SourceSpec, sample_rate: int = SAMPLE_RATE) -> Waveform:
         x *= 0.5 * (1.0 + np.sin(2 * np.pi * spec.am_rate * t))
     peak = np.abs(x).max()
     x *= 0.5 / peak
-    return Waveform(x, sample_rate)
+    return Waveform(x, SAMPLE_RATE)
 
 
 def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> tuple:
@@ -109,10 +106,10 @@ def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> tuple:
     )
 
 
-def _scaled_sources(mix_spec: MixtureSpec, sample_rate: int) -> list:
+def _scaled_sources(mix_spec: MixtureSpec) -> list:
     """Synthesize and SNR-scale all sources; rescale together if the sum
     would clip."""
-    sources = [synth_source(s, sample_rate) for s in mix_spec.sources]
+    sources = [synth_source(s) for s in mix_spec.sources]
     scaled = [sources[0].samples]
     for extra in sources[1:]:
         _, s2 = mix_at_snr(sources[0], extra, mix_spec.snr_db)
@@ -120,20 +117,20 @@ def _scaled_sources(mix_spec: MixtureSpec, sample_rate: int) -> list:
     peak = np.abs(np.sum(scaled, axis=0)).max()
     if peak > 0.99:
         scaled = [s * (0.99 / peak) for s in scaled]
-    return [Waveform(s, sample_rate) for s in scaled]
+    return [Waveform(s, SAMPLE_RATE) for s in scaled]
 
 
-def render_mixture(mix_spec: MixtureSpec, sample_rate: int = SAMPLE_RATE) -> tuple:
+def render_mixture(mix_spec: MixtureSpec) -> tuple:
     """Realize a mixture spec as ``(mixture, [sources])``.
 
     The mixture is the literal float sum of the returned sources, so
     additivity holds exactly.
     """
-    sources = _scaled_sources(mix_spec, sample_rate)
+    sources = _scaled_sources(mix_spec)
     total = np.zeros(len(sources[0]))
     for s in sources:
         total = total + s.samples
-    return Waveform(total, sample_rate), sources
+    return Waveform(total, SAMPLE_RATE), sources
 
 
 def build_manifest(
@@ -197,7 +194,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir) -> Path:
     index_path = out / "index.jsonl"
     rows = []
     for i, mix_spec in enumerate(manifest.mixtures):
-        mixture, sources = render_mixture(mix_spec, manifest.sample_rate)
+        mixture, sources = render_mixture(mix_spec)
         stem = f"{manifest.split}_{i:05d}"
         mix_name = f"{stem}_mix.wav"
         wav_write(mixture, out / mix_name)

@@ -8,16 +8,19 @@ so the vector is a concatenation of per-frame spectra.  ``flatten_tf`` and
 else goes through them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "SAMPLE_RATE",
+    "WINDOW_LEN",
+    "HOP",
+    "N_FREQ",
+    "n_frames",
     "Waveform",
-    "StftConfig",
     "ComplexSpectrogram",
-    "MagnitudeSpectrogram",
     "stft",
     "istft",
     "magnitude",
@@ -27,6 +30,16 @@ __all__ = [
     "unflatten_tf",
     "sqrt_hann",
 ]
+
+SAMPLE_RATE = 8000                 # Hz, for every signal the package reads or writes
+WINDOW_LEN = 256                   # analysis window and FFT size, samples
+HOP = 64                           # frame advance, samples
+N_FREQ = WINDOW_LEN // 2 + 1       # non-redundant bins: F = 129
+
+
+def n_frames(n_samples: int) -> int:
+    """STFT frames of a signal of ``n_samples``: 1 + (len - WINDOW_LEN) // HOP."""
+    return 1 + (n_samples - WINDOW_LEN) // HOP
 
 
 @dataclass
@@ -61,50 +74,21 @@ def sqrt_hann(length: int) -> np.ndarray:
     return win
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    """Analysis/synthesis parameters.  fft_size always equals window_len."""
-
-    window_len: int = 256
-    hop: int = 64
-
-    def __post_init__(self):
-        if not (0 < self.hop <= self.window_len):
-            raise ValueError("hop must satisfy 0 < hop <= window_len")
-
-    @property
-    def fft_size(self) -> int:
-        return self.window_len
-
-    @property
-    def n_freq(self) -> int:
-        return self.fft_size // 2 + 1
-
-    @property
-    def window(self) -> np.ndarray:
-        return sqrt_hann(self.window_len)
-
-    def n_frames(self, n_samples: int) -> int:
-        """Frames of a signal of ``n_samples``: 1 + (len - window_len) // hop."""
-        return 1 + (n_samples - self.window_len) // self.hop
-
-
 @dataclass
 class ComplexSpectrogram:
-    """F x T complex matrix plus the config that produced it."""
+    """N_FREQ x T complex matrix."""
 
     values: np.ndarray
-    config: StftConfig = field(default_factory=StftConfig)
-    sample_rate: int = 8000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 2:
             raise ValueError("spectrogram must be 2-D (F x T)")
-        if self.values.shape[0] != self.config.n_freq:
+        if self.values.shape[0] != N_FREQ:
             raise ValueError(
                 f"spectrogram has {self.values.shape[0]} frequency rows, "
-                f"config expects {self.config.n_freq}"
+                f"expected {N_FREQ}"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrogram contains non-finite entries")
@@ -112,24 +96,6 @@ class ComplexSpectrogram:
     @property
     def n_frames(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class MagnitudeSpectrogram:
-    """F x T non-negative real matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("magnitude spectrogram must be 2-D (F x T)")
-        if np.any(self.values < 0):
-            raise ValueError("magnitudes must be non-negative")
-
-    def flatten(self) -> np.ndarray:
-        """Length F*T vector, frequency index varying fastest."""
-        return flatten_tf(self.values)
 
 
 def flatten_tf(mat: np.ndarray) -> np.ndarray:
@@ -145,24 +111,23 @@ def unflatten_tf(vec: np.ndarray, n_freq: int) -> np.ndarray:
     return vec.reshape(-1, n_freq).T
 
 
-def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
+def stft(w: Waveform) -> ComplexSpectrogram:
     """Short-time Fourier transform with a square-root Hann analysis window.
 
-    Frame t covers samples [t*hop, t*hop + window_len); there is no
-    zero-padding, so T = 1 + (len - window_len) // hop and only the F =
-    fft_size/2 + 1 non-redundant bins are kept.
+    Frame t covers samples [t*HOP, t*HOP + WINDOW_LEN); there is no
+    zero-padding, so T = n_frames(len) and only the N_FREQ non-redundant
+    bins of the WINDOW_LEN-point DFT are kept.
     """
     x = w.samples
-    n = cfg.window_len
-    if x.size < n:
+    if x.size < WINDOW_LEN:
         raise ValueError(
-            f"signal too short: {x.size} samples, need at least {n}"
+            f"signal too short: {x.size} samples, need at least {WINDOW_LEN}"
         )
-    n_frames = cfg.n_frames(x.size)
-    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(n)[None, :]
-    frames = x[idx] * cfg.window
-    spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
-    return ComplexSpectrogram(spec, cfg, sample_rate=w.sample_rate)
+    t = n_frames(x.size)
+    idx = HOP * np.arange(t)[:, None] + np.arange(WINDOW_LEN)[None, :]
+    frames = x[idx] * sqrt_hann(WINDOW_LEN)
+    spec = np.fft.rfft(frames, n=WINDOW_LEN, axis=1).T
+    return ComplexSpectrogram(spec, sample_rate=w.sample_rate)
 
 
 def istft(spec: ComplexSpectrogram) -> Waveform:
@@ -171,23 +136,17 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     Each frame is multiplied by the square-root Hann synthesis window and
     the result is normalized by the summed squared window, so
     istft(stft(x)) is exact away from the first/last window where the
-    overlap is partial.  Output length is (T-1)*hop + window_len.
+    overlap is partial.  Output length is (T-1)*HOP + WINDOW_LEN.
     """
-    cfg = spec.config
-    if spec.values.shape[0] != cfg.n_freq:
-        raise ValueError(
-            f"spectrogram has {spec.values.shape[0]} rows, "
-            f"fft_size {cfg.fft_size} requires {cfg.n_freq}"
-        )
-    n = cfg.window_len
-    n_frames = spec.n_frames
-    out_len = (n_frames - 1) * cfg.hop + n
-    frames = np.fft.irfft(spec.values.T, n=cfg.fft_size, axis=1)
-    win = cfg.window
+    n = WINDOW_LEN
+    t_frames = spec.n_frames
+    out_len = (t_frames - 1) * HOP + n
+    frames = np.fft.irfft(spec.values.T, n=n, axis=1)
+    win = sqrt_hann(n)
     out = np.zeros(out_len)
     norm = np.zeros(out_len)
-    for t in range(n_frames):
-        start = t * cfg.hop
+    for t in range(t_frames):
+        start = t * HOP
         out[start : start + n] += frames[t] * win
         norm[start : start + n] += win * win
     nonzero = norm > 1e-12
@@ -196,20 +155,15 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     return Waveform(out, sample_rate=spec.sample_rate)
 
 
-def magnitude(spec: ComplexSpectrogram) -> MagnitudeSpectrogram:
-    """Elementwise modulus of a complex spectrogram."""
-    return MagnitudeSpectrogram(np.abs(spec.values))
+def magnitude(spec: ComplexSpectrogram) -> np.ndarray:
+    """Elementwise modulus of a complex spectrogram: an F x T array."""
+    return np.abs(spec.values)
 
 
-def log_magnitude(mag, floor: float = 1e-8) -> np.ndarray:
-    """Elementwise ln(max(value, floor)); the network input feature.
-
-    Accepts a :class:`MagnitudeSpectrogram` or a plain non-negative array.
-    """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    values = mag.values if isinstance(mag, MagnitudeSpectrogram) else np.asarray(mag)
-    return np.log(np.maximum(values, floor))
+def log_magnitude(mag: np.ndarray) -> np.ndarray:
+    """Elementwise ln(max(value, 1e-8)) of a magnitude array; the network
+    input feature."""
+    return np.log(np.maximum(mag, 1e-8))
 
 
 def reconstruct(mask_row: np.ndarray, mix: ComplexSpectrogram) -> Waveform:
@@ -229,4 +183,4 @@ def reconstruct(mask_row: np.ndarray, mix: ComplexSpectrogram) -> Waveform:
         raise ValueError("mask entries must lie in [0, 1]")
     mask_ft = unflatten_tf(mask, f)
     est = mask_ft * np.abs(mix.values) * np.exp(1j * np.angle(mix.values))
-    return istft(ComplexSpectrogram(est, mix.config, sample_rate=mix.sample_rate))
+    return istft(ComplexSpectrogram(est, sample_rate=mix.sample_rate))

@@ -14,7 +14,7 @@ import numpy as np
 from .adanet import select_attractor_set
 from .attractor import estimate_masks, similarity_scores, threshold_vector
 from .autograd import no_grad
-from .dsp import Waveform, log_magnitude, magnitude, reconstruct, stft
+from .dsp import Waveform, flatten_tf, log_magnitude, magnitude, reconstruct, stft
 from .nn import EmbedNet
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "fixed_attractors",
+    "embed_mixture",
     "separate",
     "PcaProjection",
     "pca_project",
@@ -161,6 +162,20 @@ def fixed_attractors(training_attractors: list) -> np.ndarray:
     return mean
 
 
+def embed_mixture(net: EmbedNet, mixture: Waveform, q: float = 0.9) -> tuple:
+    """The front end of separation: ``(spec, v, w)`` for one mixture.
+
+    ``spec`` is the mixture STFT, ``v`` the K x FT embeddings of its
+    log-magnitude (computed without a gradient tape), and ``w`` the
+    threshold vector keeping the loudest fraction ``q`` of its bins.
+    """
+    spec = stft(mixture)
+    mag = magnitude(spec)
+    with no_grad():
+        v = net.embed(log_magnitude(mag)).data
+    return spec, v, threshold_vector(flatten_tf(mag), q)
+
+
 def separate(
     net: EmbedNet,
     mixture: Waveform,
@@ -175,13 +190,7 @@ def separate(
     """
     if c < 1:
         raise ValueError("need at least one source")
-    spec = stft(mixture)
-    mag = magnitude(spec)
-    x_flat = mag.flatten()
-    with no_grad():
-        v = net.embed(log_magnitude(mag)).data
-    w = threshold_vector(x_flat, q)
-
+    spec, v, w = embed_mixture(net, mixture, q)
     if isinstance(strategy, KMeansStrategy):
         attractors = kmeans(v, c, w, seed=strategy.seed).centers
     elif isinstance(strategy, FixedStrategy):

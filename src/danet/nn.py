@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor, tanh
+from .dsp import N_FREQ
 
 __all__ = [
     "EmbedNetConfig",
@@ -29,7 +30,7 @@ class EmbedNetConfig:
     context: int = 2                       # frames on each side
     hidden_sizes: tuple = (128, 128)
     embed_dim: int = 20                    # K
-    n_freq: int = 129                      # F rows of the input spectrogram
+    n_freq: int = N_FREQ                   # F rows of the input spectrogram
     mask_nl: str = "softmax"               # mask nonlinearity: softmax | sigmoid
 
     def __post_init__(self):

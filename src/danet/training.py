@@ -24,7 +24,7 @@ from .attractor import (
 )
 from .autograd import no_grad
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
-from .dsp import StftConfig, flatten_tf, log_magnitude, magnitude, stft
+from .dsp import flatten_tf, log_magnitude, magnitude, n_frames, stft
 from .inference import fixed_attractors
 from .masks import ibm, wfm
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
@@ -39,9 +39,6 @@ __all__ = [
     "training_loss",
     "load_corpus",
 ]
-
-_STFT = StftConfig()
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; message records the step."""
@@ -74,7 +71,6 @@ class TrainSettings:
             context=self.context,
             hidden_sizes=tuple(self.hidden_sizes),
             embed_dim=self.embed_dim,
-            n_freq=_STFT.n_freq,
             mask_nl=self.mask_nl,
         )
 
@@ -114,16 +110,16 @@ def load_corpus(rows: list) -> list:
 
 def _utterance_mags(item: dict) -> tuple:
     """Per-utterance magnitude spectrograms: (mix F x T, sources C x F x T)."""
-    mix_mag = magnitude(stft(item["mix"])).values
-    src_mags = np.stack([magnitude(stft(s)).values for s in item["sources"]])
+    mix_mag = magnitude(stft(item["mix"]))
+    src_mags = np.stack([magnitude(stft(s)) for s in item["sources"]])
     return mix_mag, src_mags
 
 
-def _chunks(n_frames: int, length: int) -> list:
+def _chunks(frames: int, length: int) -> list:
     """Non-overlapping chunk starts; a short utterance is one whole chunk."""
-    if n_frames <= length:
-        return [(0, n_frames)]
-    return [(s, length) for s in range(0, n_frames - length + 1, length)]
+    if frames <= length:
+        return [(0, frames)]
+    return [(s, length) for s in range(0, frames - length + 1, length)]
 
 
 def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
@@ -202,6 +198,44 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
     return fixed_attractors(sets) if sets else None
 
 
+def _output_slots(settings: TrainSettings, max_c: int) -> int:
+    """Output slots of the model ``settings`` build for data with at most
+    ``max_c`` sources; a setting no model can train raises ValueError
+    naming the field."""
+    if settings.model not in ("danet", "adanet"):
+        raise ValueError(
+            f"TrainSettings.model must be 'danet' or 'adanet', got {settings.model!r}")
+    if settings.model == "danet":
+        return max_c  # a DANet forms one attractor per source
+    slots = settings.slots or max_c
+    if slots < max_c:
+        raise ValueError(f"TrainSettings.slots={slots} is below the {max_c} "
+                         f"sources of the largest training mixture")
+    if settings.anchors < slots:
+        raise ValueError(f"TrainSettings.anchors={settings.anchors} is below the "
+                         f"{slots} output slots")
+    return slots
+
+
+def _check_resume(ckpt: Checkpoint, path, settings: TrainSettings, slots: int,
+                  n_anchors: int) -> None:
+    """Refuse to resume a checkpoint of another model than ``settings`` build."""
+    if ckpt.model_kind != settings.model:
+        raise ValueError(
+            f"{path}: checkpoint model_kind {ckpt.model_kind!r} does not "
+            f"match the requested model {settings.model!r}"
+        )
+    config = settings.embed_config()
+    pairs = {f"config.{f.name}": (getattr(ckpt.config, f.name), getattr(config, f.name))
+             for f in fields(config)}
+    pairs["n_anchors"] = (ckpt.n_anchors, n_anchors)
+    pairs["slots"] = (ckpt.slots, slots)
+    for name, (stored, requested) in pairs.items():
+        if stored != requested:
+            raise ValueError(f"{path}: checkpoint {name} is {stored!r}, the "
+                             f"settings give {requested!r}")
+
+
 def _write_checkpoint(path, model_kind: str, slots: int, net: EmbedNet,
                       opt: AdamState, best_arrays: dict, best_val, epoch: int,
                       state: TrainerState, fixed_table=None) -> Checkpoint:
@@ -251,17 +285,12 @@ def train(
     val_corpus = load_corpus(val_rows)
     if not train_corpus or not val_corpus:
         raise ValueError("training and validation splits must be non-empty")
-    max_c = max(item["C"] for item in train_corpus)
-    # a DANet forms one attractor per source; only ADANet has fixed slots
-    slots = (settings.slots or max_c) if settings.model == "adanet" else max_c
+    slots = _output_slots(settings, max(item["C"] for item in train_corpus))
+    n_anchors = settings.anchors if settings.model == "adanet" else 0
 
     if resume:
         ckpt = checkpoint_load(ckpt_path)
-        if ckpt.model_kind != settings.model:
-            raise ValueError(
-                f"{ckpt_path}: checkpoint model_kind {ckpt.model_kind!r} does not "
-                f"match the requested model {settings.model!r}"
-            )
+        _check_resume(ckpt, ckpt_path, settings, slots, n_anchors)
         state = TrainerState.from_dict(ckpt.trainer)
         net = ckpt.build_net(best=False)
         opt = ckpt.build_adam()
@@ -274,7 +303,6 @@ def train(
         epoch = ckpt.epoch
         log_fh = open(log_path, "a")
     else:
-        n_anchors = settings.anchors if settings.model == "adanet" else 0
         net = EmbedNet(settings.embed_config(), seed=settings.seed,
                        n_anchors=n_anchors)
         opt = AdamState(lr=settings.lr)
@@ -298,8 +326,7 @@ def train(
 
             order = []
             for utt_idx, item in enumerate(train_corpus):
-                for start, length in _chunks(_STFT.n_frames(len(item["mix"])),
-                                             chunk_len):
+                for start, length in _chunks(n_frames(len(item["mix"])), chunk_len):
                     order.append((utt_idx, start, length))
             rng = np.random.default_rng(
                 np.random.SeedSequence([settings.seed, epoch]))
@@ -365,6 +392,6 @@ def train(
         best_net = EmbedNet(net.config, seed=0, n_anchors=net.n_anchors)
         for name in best_net.params:
             best_net.params[name].data = best_arrays[name].copy()
-        fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, max_c)
+        fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, slots)
     return _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
                              best_arrays, best_val, epoch, state, fixed_table)

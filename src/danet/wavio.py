@@ -10,11 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import SAMPLE_RATE, Waveform
 
 __all__ = ["wav_write", "wav_read"]
-
-_REQUIRED_RATE = 8000
 
 
 def wav_write(w: Waveform, path) -> None:
@@ -24,8 +22,8 @@ def wav_write(w: Waveform, path) -> None:
     [-1, 1] are clipped (with a warning reporting how many) and +1.0
     saturates to 32767.
     """
-    if w.sample_rate != _REQUIRED_RATE:
-        raise ValueError(f"sample rate must be {_REQUIRED_RATE}, got {w.sample_rate}")
+    if w.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"sample rate must be {SAMPLE_RATE}, got {w.sample_rate}")
     x = w.samples
     n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     if n_clipped:
@@ -43,8 +41,8 @@ def wav_write(w: Waveform, path) -> None:
         16,
         1,                       # PCM
         1,                       # mono
-        _REQUIRED_RATE,
-        _REQUIRED_RATE * 2,      # byte rate
+        SAMPLE_RATE,
+        SAMPLE_RATE * 2,         # byte rate
         2,                       # block align
         16,                      # bits per sample
         b"data",
@@ -73,8 +71,9 @@ def wav_read(path) -> Waveform:
         cid, size = struct.unpack_from("<4sI", blob, pos)
         body = blob[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
-            if size < 16:
-                raise ValueError(f"{path}: fmt chunk truncated")
+            if len(body) < 16:
+                raise ValueError(
+                    f"{path}: fmt chunk truncated ({len(body)} bytes, need 16)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
@@ -93,8 +92,11 @@ def wav_read(path) -> Waveform:
         raise ValueError(f"{path}: mono required, file has {channels} channels")
     if bits != 16:
         raise ValueError(f"{path}: 16-bit samples required, file has {bits}")
-    if rate != _REQUIRED_RATE:
-        raise ValueError(f"{path}: sample rate must be {_REQUIRED_RATE}, got {rate}")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate must be {SAMPLE_RATE}, got {rate}")
 
+    if not payload or len(payload) % 2:
+        raise ValueError(
+            f"{path}: data chunk holds {len(payload)} bytes, not whole 16-bit samples")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)

@@ -31,6 +31,9 @@ from danet.nn import EmbedNet, EmbedNetConfig
 from danet.training import TrainSettings, train, training_loss
 from danet.wavio import wav_read
 
+# Training-scale: ``pytest -m "not slow"`` leaves this module out.
+pytestmark = pytest.mark.slow
+
 # Golden numbers pinned from the reference run on the standard corpus
 # (seed 0).  The SI-SNRi medians for trained models are asserted only
 # against the criterion floor because long training runs amplify
@@ -128,7 +131,7 @@ def wfm_ceiling(corpus) -> float:
         mixture = wav_read(row["mixture_path"])
         refs = [wav_read(p) for p in row["source_paths"]]
         spec = stft(mixture)
-        src = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
+        src = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
         masks = wfm(src)
         ests = [reconstruct(masks[i], spec) for i in range(len(refs))]
         n = len(ests[0])
@@ -479,8 +482,8 @@ def test_supplementary_trained_embeddings_cluster(danet_model, corpus):
     refs = [wav_read(p) for p in row["source_paths"]]
     mag = magnitude(stft(mixture))
     v = net.embed(log_magnitude(mag)).data
-    w = threshold_vector(mag.flatten(), 0.9)
-    src = np.stack([flatten_tf(magnitude(stft(r)).values) for r in refs])
+    w = threshold_vector(flatten_tf(mag), 0.9)
+    src = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
     labels = ibm(src).argmax(axis=0)
     attractors = form_attractors(v, ibm(src), w)
     pca = pca_project(v, 3)

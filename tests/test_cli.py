@@ -170,6 +170,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "'phase'" in err and "Traceback" not in err
 
+    def test_untrainable_settings_exit_two(self, corpus, trained, tmp_path,
+                                           capsys):
+        resumed = tmp_path / "resumed.ckpt"
+        resumed.write_bytes(trained.read_bytes())
+        cases = [
+            (["--model", "adanet", "--anchors", "0"], "anchors=0"),
+            (["--model", "adanet", "--anchors", "2", "--slots", "3"], "anchors=2"),
+            (["--model", "adanet", "--slots", "1"], "slots=1"),
+            (["--resume", "--hidden", "64,64", "--embed-dim", "8"],
+             "config.hidden_sizes"),
+        ]
+        for extra, field in cases:
+            out = resumed if "--resume" in extra else tmp_path / "new.ckpt"
+            assert main([
+                "train", "--data", str(corpus), "--out", str(out), "--seed", "0",
+                *MICRO_TRAIN, *extra,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err
+            assert not (tmp_path / "new.ckpt").exists()
+        assert resumed.read_bytes() == trained.read_bytes()
+
     def test_missing_data_runtime_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2
@@ -324,6 +346,23 @@ class TestEvaluate:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+    def test_cut_wav_skipped_not_fatal(self, corpus, trained, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for f in (corpus / "test").iterdir():
+            (cut / f.name).write_bytes(f.read_bytes())
+        first = json.loads((cut / "index.jsonl").read_text().splitlines()[0])
+        mix = cut / first["mixture_path"]
+        mix.write_bytes(mix.read_bytes()[:30])  # ends inside the fmt chunk
+        out = tmp_path / "cut.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(trained), "--data", str(cut),
+            "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 3
+        assert "fmt chunk truncated" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_row_count_is_bins_plus_attractors_plus_anchors(
@@ -359,7 +398,7 @@ class TestDiagnose:
             "--out", str(out),
         ]) == 0
         src_flat = np.stack([
-            flatten_tf(magnitude(stft(wav_read(p))).values)
+            flatten_tf(magnitude(stft(wav_read(p))))
             for p in row["source_paths"]
         ])
         expected = ibm(src_flat).argmax(axis=0)

@@ -1,11 +1,15 @@
 """WAV codec validation and checkpoint round-trips."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import danet.checkpoint as checkpoint_module
 from danet.checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from danet.dsp import Waveform
 from danet.nn import EmbedNetConfig
@@ -101,6 +105,38 @@ class TestWavRead:
         bad = tmp_path / "extra.wav"
         bad.write_bytes(bytes(stitched))
         np.testing.assert_array_equal(wav_read(bad).samples, wav_read(path).samples)
+
+    def test_cut_fmt_chunk_rejected(self, tmp_path):
+        # the file ends 10 bytes into the 16-byte fmt body
+        bad = tmp_path / "cutfmt.wav"
+        bad.write_bytes(self._base(tmp_path).read_bytes()[:30])
+        with pytest.raises(ValueError, match="fmt chunk truncated"):
+            wav_read(bad)
+
+    def test_odd_payload_rejected(self, tmp_path):
+        blob = bytearray(self._base(tmp_path).read_bytes()[:-1])
+        blob[40:44] = struct.pack("<I", len(blob) - 44)  # data chunk size
+        bad = tmp_path / "odd.wav"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="data chunk"):
+            wav_read(bad)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_file_reads_or_raises_value_error(self, tmp_path, data):
+        blob = bytearray(self._base(tmp_path).read_bytes())
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+        bad = tmp_path / "damaged.wav"
+        bad.write_bytes(bytes(blob))
+        try:
+            wav_read(bad)
+        except ValueError:
+            pass
 
 
 def make_checkpoint(seed=0) -> Checkpoint:
@@ -236,3 +272,59 @@ class TestCheckpoint:
                        lambda h: h["config"].update(nonlinearity="relu"))
         with pytest.raises(ValueError, match="'nonlinearity'"):
             checkpoint_load(tmp_path / "bad.ckpt")
+
+
+class _FullDisk:
+    """A writable file that takes ``room`` bytes and then fails like a full
+    disk."""
+
+    def __init__(self, fh, room):
+        self.fh = fh
+        self.room = room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: self.room])
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        checkpoint_save(make_checkpoint(0), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(checkpoint_module, "open",
+                            lambda file, mode: _FullDisk(open(file, mode), len(before) // 2),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            checkpoint_save(make_checkpoint(1), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        checkpoint_save(checkpoint_load(path), tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again.ckpt", "c.ckpt"]
+
+    def test_save_over_existing_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        checkpoint_save(make_checkpoint(0), path)
+        checkpoint_save(make_checkpoint(1), path)
+        checkpoint_save(make_checkpoint(1), tmp_path / "fresh.ckpt")
+        assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.ckpt", "fresh.ckpt", "plain"]

@@ -159,6 +159,49 @@ class TestTraining:
         phase1_lr = [float(r[2]) for r in rows if r[1] == "1"]
         assert phase1_lr == [1e-3, 1e-3, 1e-3, 5e-4]
 
+    def _refused(self, micro_corpus, tmp_path, settings, match):
+        with pytest.raises(ValueError, match=match):
+            train(micro_corpus["train"], micro_corpus["validation"], settings,
+                  tmp_path / "x.ckpt", tmp_path / "x.log")
+        assert not (tmp_path / "x.ckpt").exists()
+        assert not (tmp_path / "x.log").exists()
+
+    def test_adanet_without_anchors_rejected(self, micro_corpus, tmp_path):
+        self._refused(micro_corpus, tmp_path,
+                      TrainSettings(**MICRO, model="adanet", anchors=0), "anchors=0")
+
+    def test_unknown_model_rejected(self, micro_corpus, tmp_path):
+        self._refused(micro_corpus, tmp_path,
+                      TrainSettings(**MICRO, model="bogus"), "model.*'bogus'")
+
+    def test_fewer_anchors_than_slots_rejected(self, micro_corpus, tmp_path):
+        self._refused(micro_corpus, tmp_path,
+                      TrainSettings(**MICRO, model="adanet", anchors=2, slots=3),
+                      "anchors=2 is below the 3 output slots")
+
+    def test_fewer_slots_than_sources_rejected(self, micro_corpus, tmp_path):
+        self._refused(micro_corpus, tmp_path,
+                      TrainSettings(**MICRO, model="adanet", slots=1), "slots=1")
+
+    @pytest.mark.parametrize("stored, requested, match", [
+        ({}, {"hidden_sizes": (64, 64), "embed_dim": 8}, "config.hidden_sizes"),
+        ({"model": "adanet", "anchors": 6}, {"model": "adanet", "anchors": 5},
+         "n_anchors"),
+        ({"model": "adanet", "anchors": 6}, {"model": "adanet", "anchors": 6,
+                                             "slots": 3}, "slots"),
+    ], ids=["architecture", "anchors", "slots"])
+    def test_resume_rejects_other_net(self, micro_corpus, tmp_path, stored,
+                                      requested, match):
+        train(micro_corpus["train"], micro_corpus["validation"],
+              TrainSettings(**{**MICRO, **stored}, stop_after_epochs=1),
+              tmp_path / "r.ckpt", tmp_path / "r.log")
+        before = [(tmp_path / n).read_bytes() for n in ("r.ckpt", "r.log")]
+        with pytest.raises(ValueError, match=match):
+            train(micro_corpus["train"], micro_corpus["validation"],
+                  TrainSettings(**{**MICRO, **requested}), tmp_path / "r.ckpt",
+                  tmp_path / "r.log", resume=True)
+        assert [(tmp_path / n).read_bytes() for n in ("r.ckpt", "r.log")] == before
+
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train([], [], TrainSettings(**MICRO), tmp_path / "x.ckpt",
