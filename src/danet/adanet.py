@@ -60,34 +60,67 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
     For every C-subset of anchors: estimate assignments, form attractors,
     score the set by the largest pairwise attractor dot product, and keep
     the subset minimizing that score (ties to the lowest subset index).
-    Subsets whose assignment leaves a source without weight mass are
-    skipped; with C=1 every score is 0 so the first subset wins.
+    A subset whose assignment leaves a source without weight mass scores
+    inf; with C=1 every score is 0 so the first subset wins.  A score
+    that is not finite never wins, and if no subset has a finite score
+    the selection raises ``ValueError``.
+
+    Every subset is scored from one ``anchors @ v`` product, a run of
+    bins at a time; the winner's attractors are then rebuilt on their
+    own, so they equal what :func:`form_attractors` gives for that subset.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     n = anchors.shape[0]
     if c > n:
         raise ValueError(f"C={c} exceeds the {n} available anchors")
     subsets = enumerate_subsets(n, c)
-    sims = []
-    best = None
-    for p, subset in enumerate(subsets):
-        y_hat = assignments_from_anchors(anchors[list(subset)], v)
-        try:
-            a = form_attractors(v, y_hat, w)
-        except ValueError:
-            sims.append(np.inf)
-            continue
-        gram = a @ a.T
+    scores = _subset_scores(anchors @ v, v, w, np.array(subsets))
+    finite = np.isfinite(scores)
+    if not finite.any():
+        if np.all(scores == np.inf):
+            raise ValueError("every anchor subset left a source empty under threshold")
+        raise ValueError("no anchor subset has a finite similarity score")
+    best = int(np.argmin(np.where(finite, scores, np.inf)))
+    subset = subsets[best]
+    a = form_attractors(v, assignments_from_anchors(anchors[list(subset)], v), w)
+    return SubsetSelection(best, subset, a, scores.tolist())
+
+
+# Bytes of assignment rows scored at once.  A block holds every subset's
+# rows over a run of bins, so it and its slice of v stay in a 2 MB L2
+# cache; blocks of whole-utterance rows would stream v from memory for
+# every block.
+_BLOCK_BYTES = 1 << 20
+
+
+def _subset_scores(d: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> np.ndarray:
+    """In-set similarity of each subset (row of ``subsets``) of the rows of
+    ``d = anchors @ v``; inf where a source gets no weight mass."""
+    n_sub, c = subsets.shape
+    ft = d.shape[1]
+    cols = max(1, _BLOCK_BYTES // (8 * n_sub * c))
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64).reshape(-1), (ft,))
+    num = np.zeros((n_sub * c, v.shape[0]))               # sum of (y * w) v^T
+    mass = np.zeros(n_sub * c)                            # sum of y * w
+    # an empty source divides by zero mass; its subset is set to inf below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, ft, cols):
+            bins = slice(start, start + cols)
+            y = d[:, bins][subsets]                       # P x C x bins
+            y -= y.max(axis=1, keepdims=True)
+            np.exp(y, out=y)
+            y /= y.sum(axis=1, keepdims=True)
+            y *= w[bins]
+            y = y.reshape(n_sub * c, -1)
+            mass += y.sum(axis=1)
+            num += y @ v[:, bins].T
+        a = (num / mass[:, None]).reshape(n_sub, c, -1)   # P x C x K
         if c > 1:
-            s_p = float(np.max(gram[~np.eye(c, dtype=bool)]))
+            s = (a @ a.transpose(0, 2, 1))[:, ~np.eye(c, dtype=bool)].max(axis=1)
         else:
-            s_p = 0.0
-        sims.append(s_p)
-        if best is None or s_p < sims[best[0]]:
-            best = (p, subset, a)
-    if best is None:
-        raise ValueError("every anchor subset left a source empty under threshold")
-    return SubsetSelection(*best, sims)
+            s = np.zeros(n_sub)
+    s[np.any(mass.reshape(n_sub, c) <= 0, axis=1)] = np.inf
+    return s
 
 
 def pit_loss(x, targets, estimates):

@@ -1,10 +1,15 @@
 """Anchored attractor machinery: subsets, assignments, selection, PIT."""
 
 from itertools import combinations, permutations
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from danet import adanet
 from danet.adanet import (
     assignments_from_anchors,
     detect_active_sources,
@@ -75,8 +80,12 @@ class TestAssignments:
 
 
 def brute_force_selection(anchors, v, w, c):
-    """Independent re-implementation of the subset contest."""
+    """Independent re-implementation of the subset contest: the winner's
+    index, every subset's score (inf for an empty source), the winner's
+    attractors, and every subset's largest squared attractor norm (which
+    bounds its score; 0 for an empty source)."""
     best_idx, best_sim, best_a = None, None, None
+    sims, scales = [], []
     for p, subset in enumerate(combinations(range(anchors.shape[0]), c)):
         sub = anchors[list(subset)]
         d = sub @ v
@@ -85,15 +94,35 @@ def brute_force_selection(anchors, v, w, c):
         weights = y * w[None, :]
         mass = weights.sum(axis=1, keepdims=True)
         if np.any(mass <= 0):
+            sims.append(np.inf)
+            scales.append(0.0)
             continue
         a = (weights @ v.T) / mass
         gram = a @ a.T
+        scales.append(float(np.max(np.diag(gram))))
         sim = 0.0
         if c > 1:
             sim = max(gram[i, j] for i in range(c) for j in range(c) if i != j)
+        sims.append(sim)
         if best_sim is None or sim < best_sim:
             best_idx, best_sim, best_a = p, sim, a
-    return best_idx, best_sim, best_a
+    return best_idx, sims, best_a, scales
+
+
+def assert_scores_close(got, want, scales):
+    """Scores agree to 1e-12 of their attractors' scale.  A score is a dot
+    product of two attractors; one near zero is a cancelled sum, so its
+    rounding is relative to the attractor norms, not to itself."""
+    got, want = np.array(got), np.array(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    tol = 1e-12 * np.maximum(np.abs(want[finite]), np.array(scales)[finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol)
+
+
+def rebuilt_attractors(anchors, v, w, subset):
+    """The winner's attractors as one subset's own computation gives them."""
+    return form_attractors(v, assignments_from_anchors(anchors[list(subset)], v), w)
 
 
 class TestSelectAttractorSet:
@@ -130,13 +159,121 @@ class TestSelectAttractorSet:
             w = (rng.uniform(0, 1, ft) > 0.2).astype(float)
             w[0] = 1.0
             choice = select_attractor_set(anchors, v, w, c)
-            idx, sim, a = brute_force_selection(anchors, v, w, c)
+            idx, _, a, _ = brute_force_selection(anchors, v, w, c)
             assert choice.subset_index == idx
             np.testing.assert_allclose(choice.attractors, a, atol=1e-10)
 
     def test_c_exceeding_anchor_count_rejected(self):
         with pytest.raises(ValueError):
             select_attractor_set(np.ones((2, 3)), np.ones((3, 5)), np.ones(5), 3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        c_frac=st.floats(0.0, 1.0),
+        k=st.integers(1, 8),
+        ft=st.integers(1, 300),
+        block_frac=st.floats(0.0, 1.0),
+        keep=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_brute_force(self, n, c_frac, k, ft, block_frac, keep, seed):
+        # blocks of any width from one bin to all of them, so the last
+        # block is often partial
+        c = 1 + int(c_frac * (n - 1))
+        bins_per_block = 1 + int(block_frac * (ft - 1))
+        rng = np.random.default_rng(seed)
+        anchors = rng.standard_normal((n, k)) * rng.uniform(0.1, 5.0)
+        v = np.tanh(rng.standard_normal((k, ft)))
+        w = (rng.uniform(size=ft) < keep).astype(float)
+        w[rng.integers(ft)] = 1.0
+        block_bytes = bins_per_block * 8 * comb(n, c) * c
+        with mock.patch.object(adanet, "_BLOCK_BYTES", block_bytes):
+            choice = select_attractor_set(anchors, v, w, c)
+        idx, sims, _, scales = brute_force_selection(anchors, v, w, c)
+        assert choice.subset_index == idx
+        assert choice.subset == enumerate_subsets(n, c)[idx]
+        np.testing.assert_array_equal(choice.attractors,
+                                      rebuilt_attractors(anchors, v, w, choice.subset))
+        assert all(type(s) is float for s in choice.similarities)
+        assert_scores_close(choice.similarities, sims, scales)
+
+    def test_several_cache_blocks_match_brute_force(self):
+        # 56 subsets of 3 over 2,000 bins: blocks of 780, 780 and 440 bins
+        rng = np.random.default_rng(17)
+        anchors = rng.standard_normal((8, 5))
+        v = np.tanh(rng.standard_normal((5, 2000)))
+        w = (rng.uniform(size=2000) > 0.1).astype(float)
+        assert adanet._BLOCK_BYTES // (8 * 56 * 3) == 780
+        choice = select_attractor_set(anchors, v, w, 3)
+        idx, sims, _, scales = brute_force_selection(anchors, v, w, 3)
+        assert choice.subset_index == idx
+        np.testing.assert_array_equal(choice.attractors,
+                                      rebuilt_attractors(anchors, v, w, choice.subset))
+        assert_scores_close(choice.similarities, sims, scales)
+
+    def test_single_source_scores_zero_and_first_wins(self):
+        rng = np.random.default_rng(18)
+        anchors = rng.standard_normal((4, 3))
+        v = rng.standard_normal((3, 30))
+        choice = select_attractor_set(anchors, v, np.ones(30), 1)
+        assert choice.similarities == [0.0] * 4
+        assert (choice.subset_index, choice.subset) == (0, (0,))
+        np.testing.assert_array_equal(choice.attractors,
+                                      rebuilt_attractors(anchors, v, np.ones(30), (0,)))
+
+    def test_every_anchor_is_one_subset(self):
+        rng = np.random.default_rng(19)
+        anchors = rng.standard_normal((3, 4))
+        v = rng.standard_normal((4, 40))
+        choice = select_attractor_set(anchors, v, np.ones(40), 3)
+        assert (choice.subset_index, choice.subset) == (0, (0, 1, 2))
+        assert len(choice.similarities) == 1
+        a = rebuilt_attractors(anchors, v, np.ones(40), (0, 1, 2))
+        np.testing.assert_array_equal(choice.attractors, a)
+        gram = a @ a.T
+        assert choice.similarities[0] == pytest.approx(
+            max(gram[0, 1], gram[0, 2], gram[1, 2]), rel=1e-12)
+
+    def test_source_underflowing_to_zero_mass_scores_inf(self):
+        # anchor 1 sits 999+ below anchors 0 and 2 at every bin: its
+        # softmax share underflows to exactly 0, so subsets holding it
+        # leave a source empty
+        v = np.tile([[1.0], [0.0]], (1, 10))
+        anchors = np.array([[1000.0, 0.0], [0.0, 0.0], [999.0, 0.0]])
+        choice = select_attractor_set(anchors, v, np.ones(10), 2)
+        assert choice.similarities[0] == np.inf
+        assert choice.similarities[2] == np.inf
+        assert np.isfinite(choice.similarities[1])
+        assert (choice.subset_index, choice.subset) == (1, (0, 2))
+
+    def test_every_subset_empty_rejected(self):
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError, match="every anchor subset left a source empty"):
+            select_attractor_set(rng.standard_normal((4, 3)),
+                                 rng.standard_normal((3, 12)), np.zeros(12), 2)
+
+    def test_nan_embedding_column_rejected(self):
+        # every subset's score is NaN, so none may win
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal((3, 12))
+        v[:, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            select_attractor_set(rng.standard_normal((4, 3)), v, np.ones(12), 2)
+
+    def test_nan_anchor_never_wins(self):
+        # anchor 0 is in the lowest-indexed subsets; their NaN scores lose
+        rng = np.random.default_rng(22)
+        anchors = rng.standard_normal((5, 3))
+        anchors[0] = np.nan
+        v = rng.standard_normal((3, 20))
+        choice = select_attractor_set(anchors, v, np.ones(20), 2)
+        sims = np.array(choice.similarities)
+        holds_nan = [0 in s for s in enumerate_subsets(5, 2)]
+        assert np.all(np.isnan(sims[holds_nan]))
+        assert 0 not in choice.subset
+        assert sims[choice.subset_index] == sims[~np.array(holds_nan)].min()
+        assert np.all(np.isfinite(choice.attractors))
 
 
 class TestPitLoss:
@@ -182,6 +319,22 @@ class TestPitLoss:
             estimates = rng.uniform(0, 1, (3, 9))
             loss, _ = pit_loss(x, targets, estimates)
             assert loss <= reconstruction_loss(x, targets, estimates) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), ft=st.integers(1, 60), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_invariant_to_target_order(self, c, ft, data, seed):
+        # targets reordered by sigma: same loss, and target i now pairs
+        # with the estimate that target sigma[i] paired with before
+        sigma = data.draw(st.permutations(range(c)))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, ft)
+        targets = rng.uniform(0, 1, (c, ft))
+        estimates = rng.uniform(0, 1, (c, ft))
+        loss, perm = pit_loss(x, targets, estimates)
+        loss_p, perm_p = pit_loss(x, targets[list(sigma)], estimates)
+        assert loss_p == pytest.approx(loss, rel=1e-12)
+        assert perm_p == tuple(perm[s] for s in sigma)
 
     def test_zero_target_pairs_with_quietest_estimate(self):
         # 3-slot outputs for a 2-source mixture: the all-zero auxiliary

@@ -1,7 +1,12 @@
 """Attractor formation, mask estimation, and the training objective."""
 
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danet.attractor import (
     estimate_masks,
@@ -46,6 +51,23 @@ class TestThresholdVector:
     def test_bad_q_rejected(self):
         with pytest.raises(ValueError):
             threshold_vector(np.ones(4), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ft=st.integers(1, 2000), q_milli=st.integers(1, 1000),
+           levels=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_keeps_at_least_the_q_fraction(self, ft, q_milli, levels, seed):
+        # q on a 1e-3 grid, as callers write it; few magnitude levels give ties
+        rng = np.random.default_rng(seed)
+        mags = rng.integers(0, levels, ft) * rng.uniform(0.01, 10.0)
+        w = threshold_vector(mags, q_milli / 1000)
+        need = ceil(Fraction(q_milli, 1000) * ft)
+        assert set(np.unique(w)) <= {0.0, 1.0}
+        assert w.sum() >= need
+        # a kept bin is never quieter than a dropped one
+        if w.sum() < ft:
+            assert mags[w == 1].min() > mags[w == 0].max()
+        if len(np.unique(mags)) == ft:
+            assert w.sum() == need
 
 
 class TestFormAttractors:
@@ -150,6 +172,15 @@ class TestEstimateMasks:
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError):
             estimate_masks(np.zeros((1, 1)), "relu")
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 6), ft=st.integers(1, 200),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_softmax_masks_sum_to_one_per_bin(self, c, ft, scale, seed):
+        d = np.random.default_rng(seed).standard_normal((c, ft)) * scale
+        m = estimate_masks(d, "softmax")
+        assert np.all((m >= 0) & (m <= 1))
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 class TestReconstructionLoss:

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danet.dsp import Waveform
 from danet.metrics import score_with_permutation, si_snr, si_snr_improvement, snr
@@ -26,6 +28,21 @@ class TestSiSnr:
         base = si_snr(est, S)
         for alpha in (0.1, 10.0):
             assert abs(si_snr(alpha * est, S) - base) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 500), alpha=st.floats(1e-3, 1e3),
+           negative=st.booleans(), noise=st.floats(0.01, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scale_invariance_in_the_estimate(self, n, alpha, negative, noise, seed):
+        # enough samples that the residual is never rounding noise: after
+        # mean removal any two 2-sample signals are collinear
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(n)
+        est = ref + noise * rng.standard_normal(n)
+        base = si_snr(est, ref)
+        assert math.isfinite(base)
+        assert si_snr((-alpha if negative else alpha) * est, ref) == pytest.approx(
+            base, rel=1e-9, abs=1e-9)
 
     def test_reference_scale_invariance(self):
         est = S + 0.3 * N_ORTH
