@@ -47,7 +47,7 @@ print(f"STFT round-trip interior error: {err:.2e}")
 src_flat = np.stack([flatten_tf(magnitude(stft(s))) for s in sources])
 for name, oracle in [("IBM", ibm), ("IRM", irm), ("WFM", wfm)]:
     masks = oracle(src_flat)
-    estimates = [reconstruct(masks[i], spec_mix) for i in range(2)]
+    estimates = reconstruct(masks, spec_mix)
     n = len(estimates[0])
     refs = [s.samples[:n] for s in sources]
     rep = score_with_permutation(estimates, refs, mixture.samples[:n])

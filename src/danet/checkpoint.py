@@ -15,6 +15,7 @@ continues the original trajectory exactly.
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ class Checkpoint:
     epoch: int = 0
     best_val_loss: float | None = None
     trainer: dict = field(default_factory=dict)   # phase + patience counters
+    unread: tuple = ()                 # arrays an inference load left on disk
 
     def build_net(self, best: bool = True) -> EmbedNet:
         """Instantiate the network from stored arrays.
@@ -50,6 +52,8 @@ class Checkpoint:
         ``best=True`` loads the best-validation parameter set (inference);
         ``best=False`` loads the current training state (resume).
         """
+        if not best:
+            self._require_all_arrays("build the current training state")
         net = EmbedNet(self.config, seed=0, n_anchors=self.n_anchors)
         prefix = "best/" if best else "param/"
         for name in net.params:
@@ -57,6 +61,7 @@ class Checkpoint:
         return net
 
     def build_adam(self) -> AdamState:
+        self._require_all_arrays("build the optimizer state")
         state = AdamState(
             lr=self.adam["lr"],
             beta1=self.adam["beta1"],
@@ -71,6 +76,15 @@ class Checkpoint:
                 state.v[key[len("adam_v/"):]] = arr.copy()
         return state
 
+    def _require_all_arrays(self, action: str) -> None:
+        if self.unread:
+            groups = sorted({name.split("/")[0] + "/*" if "/" in name else name
+                             for name in self.unread})
+            raise ValueError(
+                f"cannot {action}: the checkpoint was loaded for inference, "
+                f"without {', '.join(groups)}"
+            )
+
     @property
     def fixed_attractor_table(self) -> np.ndarray | None:
         arr = self.arrays.get("fixed_attractors")
@@ -79,6 +93,7 @@ class Checkpoint:
 
 def checkpoint_save(ckpt: Checkpoint, path) -> None:
     """Serialize a checkpoint; deterministic bytes for identical content."""
+    ckpt._require_all_arrays("save it")
     names = sorted(ckpt.arrays)
     manifest = []
     offset = 0
@@ -126,81 +141,81 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def checkpoint_load(path) -> Checkpoint:
+def checkpoint_load(path, *, inference: bool = False) -> Checkpoint:
     """Read a checkpoint, validating version, header fields and every
-    array shape; anything malformed raises ValueError naming the field."""
-    blob = Path(path).read_bytes()
-    if blob[:8] != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    if len(blob) < 16:
-        raise ValueError(
-            f"{path}: truncated checkpoint header ({len(blob)} bytes, need 16)"
-        )
-    version, header_len = struct.unpack_from("<II", blob, 8)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if 16 + header_len > len(blob):
-        raise ValueError(
-            f"{path}: checkpoint header length {header_len} runs past end of "
-            f"file ({len(blob)} bytes)"
-        )
-    header = json.loads(blob[16 : 16 + header_len].decode())
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    where = f"{path}: checkpoint header"
-    config = _field(header, "config", dict, where)
-    where_cfg = f"{where} config"
-    # version-1 files written before the field was dropped carry "tanh"
-    if config.get("nonlinearity", "tanh") != "tanh":
-        raise ValueError(f"{where_cfg}: field 'nonlinearity' must be 'tanh'")
-    hidden = _field(config, "hidden_sizes", list, where_cfg)
-    if not all(isinstance(h, int) and h > 0 for h in hidden):
-        raise ValueError(f"{where_cfg}: field 'hidden_sizes' is malformed")
-    cfg = EmbedNetConfig(
-        context=_field(config, "context", int, where_cfg),
-        hidden_sizes=tuple(hidden),
-        embed_dim=_field(config, "embed_dim", int, where_cfg),
-        n_freq=_field(config, "n_freq", int, where_cfg),
-        mask_nl=_field(config, "mask_nl", str, where_cfg),
-    )
-    adam = _field(header, "adam", dict, where)
-    for key in ("lr", "beta1", "beta2", "eps"):
-        _field(adam, key, (int, float), f"{where} adam")
-    _field(adam, "step", int, f"{where} adam")
-    n_anchors = _field(header, "n_anchors", int, where)
+    array's shape and extent; anything malformed raises ValueError naming
+    the field.
 
-    data = blob[16 + header_len :]
-    arrays = {}
-    for entry in _field(header, "arrays", list, where):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: field 'arrays' holds {entry!r}, not an object")
-        name = _field(entry, "name", str, f"{where} arrays entry")
-        where_arr = f"{path}: array '{name}'"
-        shape = tuple(_field(entry, "shape", list, where_arr))
-        if not all(isinstance(d, int) and d >= 0 for d in shape):
-            raise ValueError(f"{where_arr}: field 'shape' is malformed")
-        start = _field(entry, "offset", int, where_arr)
-        if start < 0:
-            raise ValueError(f"{where_arr}: field 'offset' is negative ({start})")
-        count = int(np.prod(shape)) if shape else 1
-        end = start + 8 * count
-        if end > len(data):
-            raise ValueError(f"{where_arr}: extends past end of file")
-        arrays[name] = (
-            np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
+    Each array is read once, straight from its offset.  ``inference=True``
+    reads only the ``best/`` parameters and the fixed-attractor table; the
+    other arrays are validated from the manifest but left unread, and the
+    result refuses to resume training or to be saved.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if preamble[:8] != _MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        if len(preamble) < 16:
+            raise ValueError(
+                f"{path}: truncated checkpoint header ({size} bytes, need 16)"
+            )
+        version, header_len = struct.unpack_from("<II", preamble, 8)
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        data_start = 16 + header_len
+        if data_start > size:
+            raise ValueError(
+                f"{path}: checkpoint header length {header_len} runs past end of "
+                f"file ({size} bytes)"
+            )
+        header = json.loads(fh.read(header_len).decode())
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
+        where = f"{path}: checkpoint header"
+        config = _field(header, "config", dict, where)
+        where_cfg = f"{where} config"
+        # version-1 files written before the field was dropped carry "tanh"
+        if config.get("nonlinearity", "tanh") != "tanh":
+            raise ValueError(f"{where_cfg}: field 'nonlinearity' must be 'tanh'")
+        hidden = _field(config, "hidden_sizes", list, where_cfg)
+        if not all(_is_int(h) and h > 0 for h in hidden):
+            raise ValueError(f"{where_cfg}: field 'hidden_sizes' is malformed")
+        cfg = EmbedNetConfig(
+            context=_field(config, "context", int, where_cfg),
+            hidden_sizes=tuple(hidden),
+            embed_dim=_field(config, "embed_dim", int, where_cfg),
+            n_freq=_field(config, "n_freq", int, where_cfg),
+            mask_nl=_field(config, "mask_nl", str, where_cfg),
         )
+        adam = _field(header, "adam", dict, where)
+        for key in ("lr", "beta1", "beta2", "eps"):
+            _field(adam, key, (int, float), f"{where} adam")
+        _field(adam, "step", int, f"{where} adam")
+        n_anchors = _field(header, "n_anchors", int, where)
 
-    expected = cfg.param_shapes(n_anchors)
-    for prefix in ("param/", "best/"):
-        for name, shape in expected.items():
-            key = prefix + name
-            if key not in arrays:
-                raise ValueError(f"{path}: missing array '{key}'")
-            if arrays[key].shape != shape:
-                raise ValueError(
-                    f"{path}: array '{key}' has shape {arrays[key].shape}, "
-                    f"config requires {shape}"
-                )
+        manifest = _manifest(header, size - data_start, path)
+        for prefix in ("param/", "best/"):
+            for name, shape in cfg.param_shapes(n_anchors).items():
+                key = prefix + name
+                if key not in manifest:
+                    raise ValueError(f"{path}: missing array '{key}'")
+                if manifest[key][0] != shape:
+                    raise ValueError(
+                        f"{path}: array '{key}' has shape {manifest[key][0]}, "
+                        f"config requires {shape}"
+                    )
+
+        arrays = {}
+        for name, (shape, start) in manifest.items():
+            if inference and not (name.startswith("best/")
+                                  or name == "fixed_attractors"):
+                continue
+            arr = np.empty(shape, dtype="<f8")
+            fh.seek(data_start + start)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: array '{name}' is cut short")
+            arrays[name] = arr
     return Checkpoint(
         model_kind=_field(header, "model_kind", str, where),
         config=cfg,
@@ -211,12 +226,59 @@ def checkpoint_load(path) -> Checkpoint:
         epoch=_field(header, "epoch", int, where),
         best_val_loss=_field(header, "best_val_loss", (int, float, type(None)), where),
         trainer=_field(header, "trainer", dict, where),
+        unread=tuple(sorted(set(manifest) - set(arrays))),
     )
 
 
+def _manifest(header: dict, data_len: int, path) -> dict:
+    """The header's array manifest as ``name -> (shape, offset)``.
+
+    Every entry must name a new array, have non-negative integer dims and
+    offset, and lie inside the ``data_len`` bytes after the header; no two
+    non-empty arrays may share a byte.
+    """
+    where = f"{path}: checkpoint header"
+    manifest = {}
+    extents = []
+    for entry in _field(header, "arrays", list, where):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: field 'arrays' holds {entry!r}, not an object")
+        name = _field(entry, "name", str, f"{where} arrays entry")
+        where_arr = f"{path}: array '{name}'"
+        if name in manifest:
+            raise ValueError(f"{where_arr}: field 'name' repeats an earlier entry")
+        shape = tuple(_field(entry, "shape", list, where_arr))
+        if not all(_is_int(d) and d >= 0 for d in shape):
+            raise ValueError(f"{where_arr}: field 'shape' is malformed")
+        start = _field(entry, "offset", int, where_arr)
+        if start < 0:
+            raise ValueError(f"{where_arr}: field 'offset' is negative ({start})")
+        end = start + 8 * math.prod(shape)
+        if end > data_len:
+            raise ValueError(
+                f"{where_arr}: fields 'offset' and 'shape' reach data byte "
+                f"{end}, past the {data_len} bytes after the header"
+            )
+        manifest[name] = (shape, start)
+        if end > start:
+            extents.append((start, end, name))
+    extents.sort()
+    for (_, prev_end, prev), (start, _, name) in zip(extents, extents[1:]):
+        if start < prev_end:
+            raise ValueError(
+                f"{path}: array '{name}': field 'offset' overlaps array '{prev}'"
+            )
+    return manifest
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(block: dict, key: str, kind, where: str):
-    """``block[key]`` if present and an instance of ``kind``; else a
-    ValueError naming the field."""
-    if key not in block or not isinstance(block[key], kind):
+    """``block[key]`` if present and an instance of ``kind`` (never a
+    bool); else a ValueError naming the field."""
+    if (key not in block or isinstance(block[key], bool)
+            or not isinstance(block[key], kind)):
         raise ValueError(f"{where}: field '{key}' is missing or malformed")
     return block[key]

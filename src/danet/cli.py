@@ -186,7 +186,7 @@ def _parse_speakers(text: str) -> tuple:
 
 
 def _load_net(opts) -> tuple:
-    ckpt = checkpoint_load(opts["checkpoint"])
+    ckpt = checkpoint_load(opts["checkpoint"], inference=True)
     return ckpt, ckpt.build_net(best=True)
 
 
@@ -312,7 +312,7 @@ def cmd_evaluate(opts) -> int:
             spec = stft(mixture)
             src_flat = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
             oracle_masks = {"wfm": wfm, "irm": irm, "ibm": ibm}[opts["oracle"]](src_flat)
-            estimates = [reconstruct(oracle_masks[i], spec) for i in range(c)]
+            estimates = reconstruct(oracle_masks, spec)
         else:
             estimates = separate(net, mixture, c, strategy, q=opts["q"])
         n = len(estimates[0])

@@ -138,17 +138,23 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     istft(stft(x)) is exact away from the first/last window where the
     overlap is partial.  Output length is (T-1)*HOP + WINDOW_LEN.
     """
-    n = WINDOW_LEN
     t_frames = spec.n_frames
-    out_len = (t_frames - 1) * HOP + n
-    frames = np.fft.irfft(spec.values.T, n=n, axis=1)
-    win = sqrt_hann(n)
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    for t in range(t_frames):
-        start = t * HOP
-        out[start : start + n] += frames[t] * win
-        norm[start : start + n] += win * win
+    frames = np.fft.irfft(spec.values.T, n=WINDOW_LEN, axis=1)
+    win = sqrt_hann(WINDOW_LEN)
+    # Sample block b (HOP samples) holds block j of frame b - j for each of
+    # the WINDOW_LEN // HOP overlapping frames.  Adding j from the last
+    # block down adds every sample's frames in frame order, as a loop over
+    # frames would, so the sums are bitwise those of that loop.
+    overlap = WINDOW_LEN // HOP
+    blocks = (frames * win).reshape(t_frames, overlap, HOP)
+    win_blocks = (win * win).reshape(overlap, HOP)
+    out = np.zeros((t_frames + overlap - 1, HOP))
+    norm = np.zeros((t_frames + overlap - 1, HOP))
+    for j in reversed(range(overlap)):
+        out[j : j + t_frames] += blocks[:, j]
+        norm[j : j + t_frames] += win_blocks[j]
+    out = out.reshape(-1)
+    norm = norm.reshape(-1)
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     out[~nonzero] = 0.0
@@ -166,21 +172,26 @@ def log_magnitude(mag: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(mag, 1e-8))
 
 
-def reconstruct(mask_row: np.ndarray, mix: ComplexSpectrogram) -> Waveform:
-    """Apply one source mask to the mixture and invert with mixture phase.
+def reconstruct(masks: np.ndarray, mix: ComplexSpectrogram) -> list:
+    """Apply C source masks to the mixture and invert each with the
+    mixture phase.
 
-    ``mask_row`` is a flattened 1 x FT mask in [0, 1]; the estimated
-    magnitude is mask * |mix| and the mixture phase is reattached before
-    the inverse transform.
+    ``masks`` is a C x FT matrix of flattened masks in [0, 1]; source i's
+    estimated spectrogram is (mask_i * |mix|) * exp(j angle(mix)), and the
+    result is the C inverse transforms as ``Waveform``s.
     """
-    mask = np.asarray(mask_row, dtype=np.float64).reshape(-1)
+    masks = np.asarray(masks, dtype=np.float64)
     f, t = mix.values.shape
-    if mask.size != f * t:
+    if masks.ndim != 2 or masks.shape[1] != f * t:
         raise ValueError(
-            f"mask length {mask.size} does not match spectrogram F*T={f * t}"
+            f"masks of shape {masks.shape} are not a C x F*T={f * t} matrix"
         )
-    if np.any(mask < 0) or np.any(mask > 1):
+    if np.any(masks < 0) or np.any(masks > 1):
         raise ValueError("mask entries must lie in [0, 1]")
-    mask_ft = unflatten_tf(mask, f)
-    est = mask_ft * np.abs(mix.values) * np.exp(1j * np.angle(mix.values))
-    return istft(ComplexSpectrogram(est, sample_rate=mix.sample_rate))
+    mag = np.abs(mix.values)
+    phase = np.exp(1j * np.angle(mix.values))
+    return [
+        istft(ComplexSpectrogram(unflatten_tf(mask, f) * mag * phase,
+                                 sample_rate=mix.sample_rate))
+        for mask in masks
+    ]

@@ -211,7 +211,7 @@ def separate(
 
     d = similarity_scores(attractors, v)
     est_masks = estimate_masks(d, net.config.mask_nl)
-    return [reconstruct(est_masks[i], spec) for i in range(c)]
+    return reconstruct(est_masks, spec)
 
 
 @dataclass

@@ -133,7 +133,7 @@ def wfm_ceiling(corpus) -> float:
         spec = stft(mixture)
         src = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
         masks = wfm(src)
-        ests = [reconstruct(masks[i], spec) for i in range(len(refs))]
+        ests = reconstruct(masks, spec)
         n = len(ests[0])
         rep = score_with_permutation(
             ests, [r.samples[:n] for r in refs], mixture.samples[:n]

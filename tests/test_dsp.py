@@ -158,33 +158,98 @@ class TestLogMagnitude:
         assert np.all(log_magnitude(a) <= log_magnitude(b))
 
 
+def istft_frame_loop(spec: ComplexSpectrogram) -> np.ndarray:
+    """Overlap-add one frame at a time; the bitwise oracle for istft."""
+    t_frames = spec.n_frames
+    out_len = (t_frames - 1) * HOP + WINDOW_LEN
+    frames = np.fft.irfft(spec.values.T, n=WINDOW_LEN, axis=1)
+    win = sqrt_hann(WINDOW_LEN)
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    for t in range(t_frames):
+        start = t * HOP
+        out[start : start + WINDOW_LEN] += frames[t] * win
+        norm[start : start + WINDOW_LEN] += win * win
+    nonzero = norm > 1e-12
+    out[nonzero] /= norm[nonzero]
+    out[~nonzero] = 0.0
+    return out
+
+
+def spectrograms(max_frames=24):
+    """Random complex N_FREQ x T spectrograms with T in [1, max_frames]."""
+    return st.tuples(st.integers(1, max_frames), st.integers(0, 2**32 - 1)).map(
+        lambda ts: ComplexSpectrogram(
+            np.random.default_rng(ts[1]).standard_normal((N_FREQ, ts[0]))
+            + 1j * np.random.default_rng(ts[1] + 1).standard_normal((N_FREQ, ts[0]))
+        )
+    )
+
+
+class TestIstftOverlapAdd:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=spectrograms())
+    def test_equals_frame_loop_bitwise(self, spec):
+        np.testing.assert_array_equal(istft(spec).samples, istft_frame_loop(spec))
+
+    @pytest.mark.parametrize("t_frames", range(1, 9))
+    def test_short_spectrograms_equal_frame_loop(self, t_frames):
+        # partial overlap everywhere, and the zero-norm first sample
+        rng = np.random.default_rng(t_frames)
+        spec = ComplexSpectrogram(rng.standard_normal((N_FREQ, t_frames))
+                                  + 1j * rng.standard_normal((N_FREQ, t_frames)))
+        back = istft(spec).samples
+        np.testing.assert_array_equal(back, istft_frame_loop(spec))
+        assert back[0] == 0.0
+
+
 class TestReconstruct:
     def test_all_ones_mask_reproduces_mixture(self):
         rng = np.random.default_rng(6)
         w = Waveform(rng.uniform(-0.5, 0.5, 4000), SAMPLE_RATE)
         spec = stft(w)
-        ones = np.ones(spec.values.size)
+        ones = np.ones((1, spec.values.size))
         np.testing.assert_allclose(
-            reconstruct(ones, spec).samples, istft(spec).samples, atol=1e-12
+            reconstruct(ones, spec)[0].samples, istft(spec).samples, atol=1e-12
         )
 
     def test_zero_mask_gives_silence(self):
         w = Waveform(np.sin(np.arange(4000) * 0.3), SAMPLE_RATE)
         spec = stft(w)
-        assert np.all(reconstruct(np.zeros(spec.values.size), spec).samples == 0)
+        assert np.all(reconstruct(np.zeros((1, spec.values.size)), spec)[0].samples == 0)
 
     def test_shape_mismatch_raises(self):
         w = Waveform(np.ones(4000), SAMPLE_RATE)
         spec = stft(w)
         with pytest.raises(ValueError):
-            reconstruct(np.ones(5), spec)
+            reconstruct(np.ones((1, 5)), spec)
+
+    def test_single_flat_mask_is_not_a_matrix(self):
+        spec = stft(Waveform(np.ones(4000), SAMPLE_RATE))
+        with pytest.raises(ValueError, match="C x F"):
+            reconstruct(np.ones(spec.values.size), spec)
 
     def test_mask_range_checked(self):
         w = Waveform(np.ones(4000), SAMPLE_RATE)
         spec = stft(w)
-        bad = np.full(spec.values.size, 1.5)
+        bad = np.full((1, spec.values.size), 1.5)
         with pytest.raises(ValueError):
             reconstruct(bad, spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=spectrograms(max_frames=12), c=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_per_row_formula_bitwise(self, spec, c, seed):
+        masks = np.random.default_rng(seed).uniform(0, 1, (c, spec.values.size))
+        masks[:, ::7] = 0.0
+        estimates = reconstruct(masks, spec)
+        assert len(estimates) == c
+        x = spec.values
+        for mask, est in zip(masks, estimates):
+            est_ft = unflatten_tf(mask, N_FREQ) * np.abs(x) * np.exp(1j * np.angle(x))
+            np.testing.assert_array_equal(
+                est.samples, istft(ComplexSpectrogram(est_ft)).samples
+            )
 
     def test_wfm_oracle_mask_improves_both_sources(self):
         # masked reconstruction with the ideal Wiener-like mask beats the
@@ -200,9 +265,8 @@ class TestReconstruct:
         src = np.stack(
             [flatten_tf(magnitude(stft(s))) for s in (s1, s2)]
         )
-        masks = wfm(src)
-        for i, ref in enumerate((s1, s2)):
-            est = reconstruct(masks[i], spec)
+        estimates = reconstruct(wfm(src), spec)
+        for est, ref in zip(estimates, (s1, s2)):
             n = len(est)
             gain = si_snr_improvement(est.samples, ref.samples[:n], mix.samples[:n])
             assert gain > 0

@@ -3,6 +3,7 @@
 import errno
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +273,182 @@ class TestCheckpoint:
                        lambda h: h["config"].update(nonlinearity="relu"))
         with pytest.raises(ValueError, match="'nonlinearity'"):
             checkpoint_load(tmp_path / "bad.ckpt")
+
+    def test_file_cut_after_its_size_was_taken_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        checkpoint_save(make_checkpoint(4), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(checkpoint_module.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(ValueError, match="'param/w_out' is cut short"):
+            checkpoint_load(path)
+
+
+def edit_entry(tmp_path, edit, seed=0):
+    """Save ``make_checkpoint(seed)``, pass its manifest (a list of entries)
+    through ``edit`` and return the path of the edited copy."""
+    checkpoint_save(make_checkpoint(seed), tmp_path / "ok.ckpt")
+    rewrite_header(tmp_path / "ok.ckpt", tmp_path / "bad.ckpt",
+                   lambda h: edit(h["arrays"]))
+    return tmp_path / "bad.ckpt"
+
+
+def entry(manifest, name):
+    return next(e for e in manifest if e["name"] == name)
+
+
+class TestManifest:
+    def test_bool_shape_dim_rejected(self, tmp_path):
+        bad = edit_entry(tmp_path, lambda m: entry(m, "best/b0").update(shape=[True, 1]))
+        with pytest.raises(ValueError, match="'best/b0'.*'shape'"):
+            checkpoint_load(bad)
+
+    def test_bool_shape_dim_exits_two_from_the_cli(self, tmp_path, capsys):
+        from danet.cli import main
+
+        bad = edit_entry(tmp_path, lambda m: entry(m, "best/b0").update(shape=[True]))
+        code = main(["separate", "--checkpoint", str(bad),
+                     "--input", str(tmp_path / "mix.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'best/b0'" in err and "'shape'" in err and "Traceback" not in err
+
+    def test_bool_offset_rejected(self, tmp_path):
+        bad = edit_entry(tmp_path, lambda m: entry(m, "adam_m/b0").update(offset=True))
+        with pytest.raises(ValueError, match="'adam_m/b0'.*'offset'"):
+            checkpoint_load(bad)
+
+    def test_huge_shape_rejected_without_wrapping(self, tmp_path):
+        # the element count 2**80 wraps to 0 in int64 arithmetic
+        bad = edit_entry(tmp_path, lambda m: entry(m, "adam_v/w0").update(
+            shape=[2**40, 2**40]))
+        with pytest.raises(ValueError, match="'adam_v/w0'.*'shape'"):
+            checkpoint_load(bad)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        bad = edit_entry(tmp_path, lambda m: m.append(dict(entry(m, "best/w0"))))
+        with pytest.raises(ValueError, match="'best/w0'.*'name'"):
+            checkpoint_load(bad)
+
+    def test_overlapping_extents_rejected(self, tmp_path):
+        def edit(manifest):
+            entry(manifest, "param/b0")["offset"] = entry(manifest, "param/anchors")["offset"] + 8
+
+        with pytest.raises(ValueError, match="'param/b0'.*'offset' overlaps.*'param/anchors'"):
+            checkpoint_load(edit_entry(tmp_path, edit))
+
+    def test_empty_array_overlaps_nothing(self, tmp_path):
+        def edit(manifest):
+            manifest.append({"name": "extra", "shape": [0, 3],
+                             "offset": entry(manifest, "best/w0")["offset"] + 8})
+
+        loaded = checkpoint_load(edit_entry(tmp_path, edit))
+        assert loaded.arrays["extra"].shape == (0, 3)
+
+
+def with_fixed_table(seed=0) -> Checkpoint:
+    ckpt = make_checkpoint(seed)
+    ckpt.arrays["fixed_attractors"] = np.random.default_rng(seed + 100).standard_normal((2, 4))
+    return ckpt
+
+
+class TestInferenceLoad:
+    def test_reads_only_best_arrays_and_fixed_table(self, tmp_path):
+        ckpt = with_fixed_table()
+        checkpoint_save(ckpt, tmp_path / "c.ckpt")
+        loaded = checkpoint_load(tmp_path / "c.ckpt", inference=True)
+        wanted = {k for k in ckpt.arrays if k.startswith("best/")} | {"fixed_attractors"}
+        assert set(loaded.arrays) == wanted
+        assert set(loaded.unread) == set(ckpt.arrays) - wanted
+        for name in wanted:
+            np.testing.assert_array_equal(loaded.arrays[name], ckpt.arrays[name])
+
+    def test_net_equals_full_load_bitwise(self, tmp_path):
+        checkpoint_save(with_fixed_table(1), tmp_path / "c.ckpt")
+        full = checkpoint_load(tmp_path / "c.ckpt")
+        lean = checkpoint_load(tmp_path / "c.ckpt", inference=True)
+        net_full, net_lean = full.build_net(best=True), lean.build_net(best=True)
+        assert net_full.params.keys() == net_lean.params.keys()
+        for name, param in net_full.params.items():
+            np.testing.assert_array_equal(net_lean.params[name].data, param.data)
+        np.testing.assert_array_equal(lean.fixed_attractor_table,
+                                      full.fixed_attractor_table)
+        for key in ("model_kind", "config", "n_anchors", "slots", "adam", "epoch",
+                    "best_val_loss", "trainer"):
+            assert getattr(lean, key) == getattr(full, key)
+
+    def test_refuses_to_resume_or_save(self, tmp_path):
+        checkpoint_save(with_fixed_table(2), tmp_path / "c.ckpt")
+        lean = checkpoint_load(tmp_path / "c.ckpt", inference=True)
+        with pytest.raises(ValueError, match="training state.*param/\\*"):
+            lean.build_net(best=False)
+        with pytest.raises(ValueError, match="optimizer.*adam_m/\\*, adam_v/\\*"):
+            lean.build_adam()
+        with pytest.raises(ValueError, match="save.*inference"):
+            checkpoint_save(lean, tmp_path / "again.ckpt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+    def test_training_arrays_still_validated(self, tmp_path):
+        bad = edit_entry(tmp_path, lambda m: entry(m, "param/w0").update(shape=[7, 21]))
+        with pytest.raises(ValueError, match="'param/w0' has shape"):
+            checkpoint_load(bad, inference=True)
+        bad = edit_entry(tmp_path, lambda m: m.remove(entry(m, "param/b_out")))
+        with pytest.raises(ValueError, match="missing array 'param/b_out'"):
+            checkpoint_load(bad, inference=True)
+
+    def test_cut_training_array_still_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        checkpoint_save(make_checkpoint(3), path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(path.read_bytes()[:-8])  # the last array is param/w_out
+        with pytest.raises(ValueError, match="'param/w_out'"):
+            checkpoint_load(cut, inference=True)
+
+
+def decode_as_written(blob: bytes, name: str) -> np.ndarray:
+    """Array ``name`` decoded straight from checkpoint bytes by its
+    manifest entry, apart from ``checkpoint_load``."""
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    found = entry(json.loads(blob[16 : 16 + header_len])["arrays"], name)
+    count = int(np.prod(found["shape"], dtype=object))
+    return np.frombuffer(blob, dtype="<f8", count=count,
+                         offset=16 + header_len + found["offset"]).reshape(found["shape"])
+
+
+class TestDamagedCheckpoint:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loads_as_written_or_raises_value_error(self, tmp_path, data):
+        path = tmp_path / "ok.ckpt"
+        checkpoint_save(with_fixed_table(), path)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+        else:
+            # half the mutations land in the preamble or the JSON header
+            end = 16 + header_len if data.draw(st.booleans(), label="header") else len(blob)
+            pos = data.draw(st.integers(0, end - 1), label="position")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+        bad = tmp_path / "damaged.ckpt"
+        bad.write_bytes(bytes(blob))
+        loaded = {}
+        for inference in (False, True):
+            try:
+                loaded[inference] = checkpoint_load(bad, inference=inference)
+            except ValueError:
+                pass
+        assert loaded.keys() in ({False, True}, set()), "the two loads disagree"
+        if loaded:
+            full, lean = loaded[False], loaded[True]
+            for name, arr in full.arrays.items():
+                np.testing.assert_array_equal(arr, decode_as_written(bytes(blob), name))
+            assert set(lean.arrays) <= set(full.arrays)
+            for name, arr in lean.arrays.items():
+                np.testing.assert_array_equal(arr, full.arrays[name])
+            assert set(lean.arrays) | set(lean.unread) == set(full.arrays)
 
 
 class _FullDisk:

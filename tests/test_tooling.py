@@ -1,10 +1,11 @@
-"""The benchmark harness still drives the package.
+"""The benchmark harness and the demos still drive the package.
 
 The harness wraps public functions by name (``bench/tracer.py``), so a
 rename or a changed return value in ``src/`` breaks it without breaking
 any other test.  Its self-check runs every workload at tiny sizes.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,16 @@ def test_bench_selfcheck_passes():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert proc.stdout.strip().endswith("selfcheck: ok")
+
+
+def test_spectrogram_demo_runs():
+    """The first demo calls the signal front end directly (about 1 s), so
+    a change of its API breaks this test rather than only the demo."""
+    proc = subprocess.run(
+        [sys.executable, "demos/01_spectrograms_and_masks.py"], cwd=ROOT,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "WFM: SI-SNRi" in proc.stdout
