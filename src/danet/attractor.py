@@ -9,6 +9,9 @@ C x FT, the threshold vector w and the mixture magnitude x are length FT,
 attractors are C x K.
 """
 
+from fractions import Fraction
+from math import floor
+
 import numpy as np
 
 from .autograd import exp, raw, sigmoid
@@ -26,14 +29,16 @@ def threshold_vector(mix_mag: np.ndarray, q: float = 0.9) -> np.ndarray:
     """Binary salience filter keeping roughly the top-q fraction of bins.
 
     The cutoff is the value at index floor((1-q)*FT) of the ascending
-    sort; bins >= the cutoff are kept, so ties at the cutoff survive.
+    order (found by a partition, not a full sort).  The index is exact,
+    with q read as the decimal it prints as (0.9 is 9/10), so at least
+    ceil(q*FT) bins are kept; bins >= the cutoff are kept, so ties at the
+    cutoff survive.
     """
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
     mag = np.asarray(mix_mag, dtype=np.float64).reshape(-1)
-    # the nudge keeps (1-q)*n at its exact rational value, e.g. 0.1*10 -> 1
-    idx = int(np.floor((1 - q) * mag.size + 1e-9))
-    cut = np.sort(mag)[idx]
+    idx = floor((1 - Fraction(repr(float(q)))) * mag.size)
+    cut = np.partition(mag, idx)[idx]
     return (mag >= cut).astype(np.float64)
 
 

@@ -13,7 +13,10 @@ of numpy's broadcasting machinery.  The module-level ``exp`` / ``tanh`` /
 ``sigmoid`` helpers accept plain ndarrays too, so the mask and loss
 formulas can be written once and evaluated either numerically or under
 the tape.  Inside ``with no_grad():`` operations record nothing, for
-forward passes whose result feeds no ``backward()``.
+forward passes whose result feeds no ``backward()``.  A gradient is
+computed only for parents that require one, so constants (the network's
+input features, masks, weights) cost no backward work and keep
+``grad is None``.
 """
 
 from contextlib import contextmanager
@@ -21,7 +24,8 @@ from contextvars import ContextVar
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "exp", "tanh", "sigmoid", "raw"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "exp", "tanh", "sigmoid", "dense_tanh",
+           "raw"]
 
 _recording = ContextVar("recording", default=True)
 
@@ -110,8 +114,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out):
-            self._accum(_unbroadcast(out.grad, self.data.shape))
-            other._accum(_unbroadcast(out.grad, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(out.grad, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(out.grad, other.data.shape))
 
         return Tensor._from_op(self.data + other.data, (self, other), backward)
 
@@ -127,8 +133,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out):
-            self._accum(_unbroadcast(out.grad, self.data.shape))
-            other._accum(_unbroadcast(-out.grad, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(out.grad, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(-out.grad, other.data.shape))
 
         return Tensor._from_op(self.data - other.data, (self, other), backward)
 
@@ -139,8 +147,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out):
-            self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
 
         return Tensor._from_op(self.data * other.data, (self, other), backward)
 
@@ -150,11 +160,13 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out):
-            self._accum(_unbroadcast(out.grad / other.data, self.data.shape))
-            other._accum(
-                _unbroadcast(-out.grad * self.data / (other.data * other.data),
-                             other.data.shape)
-            )
+            if self.requires_grad:
+                self._accum(_unbroadcast(out.grad / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(
+                    _unbroadcast(-out.grad * self.data / (other.data * other.data),
+                                 other.data.shape)
+                )
 
         return Tensor._from_op(self.data / other.data, (self, other), backward)
 
@@ -176,8 +188,10 @@ class Tensor:
             raise ValueError("matmul is implemented for 2-D tensors only")
 
         def backward(out):
-            self._accum(out.grad @ other.data.T)
-            other._accum(self.data.T @ out.grad)
+            if self.requires_grad:
+                self._accum(out.grad @ other.data.T)
+            if other.requires_grad:
+                other._accum(self.data.T @ out.grad)
 
         return Tensor._from_op(self.data @ other.data, (self, other), backward)
 
@@ -320,3 +334,49 @@ def sigmoid(x):
         x._accum(out.grad * value * (1.0 - value))
 
     return Tensor._from_op(value, (x,), backward)
+
+
+def dense_tanh(w: Tensor, x, b: Tensor, blocks: int | None = None) -> Tensor:
+    """``tanh(w @ x + b)`` as one tape node.
+
+    ``w`` is R x D, ``x`` is D x T and ``b`` is R x 1.  The bias is added
+    into the product's buffer and tanh runs in place on it, so the value
+    is bitwise that of the three separate operations.  With ``blocks=K``
+    the R = K*F rows are read as K blocks of F and the result is the
+    K x T*F frame-major matrix: column ``t*F + f`` of block k holds row
+    ``k*F + f`` of frame t, the flattening of :mod:`danet.dsp`.  There
+    the bias add writes the frame-major buffer, so reordering costs no
+    extra pass.  The backward pass forms ``g * (1 - value**2)`` in one
+    buffer (frame-major, then reordered to R x T with one copy) and a
+    gradient only for the parents that require one.
+    """
+    x = as_tensor(x)
+    z = w.data @ x.data
+    if blocks is None:
+        z += b.data
+    else:
+        r, t = z.shape
+        f = r // blocks
+        framed = np.empty((blocks, t, f))
+        np.add(z.reshape(blocks, f, t).transpose(0, 2, 1), b.data.reshape(blocks, 1, f),
+               out=framed)
+        z = framed.reshape(blocks, t * f)
+    value = np.tanh(z, out=z)
+
+    def backward(out):
+        dz = value * value
+        np.subtract(1.0, dz, out=dz)
+        dz *= out.grad
+        if blocks is not None:
+            # copy() makes dz row-major even at K = 1, where reshaping the
+            # transposed view alone gives a column-major view; row-major
+            # keeps the gradients bitwise those of the op-by-op tape
+            dz = dz.reshape(blocks, t, f).transpose(0, 2, 1).copy().reshape(blocks * f, t)
+        if w.requires_grad:
+            w._accum(dz @ x.data.T)
+        if b.requires_grad:
+            b._accum(dz.sum(axis=1, keepdims=True))
+        if x.requires_grad:
+            x._accum(w.data.T @ dz)
+
+    return Tensor._from_op(value, (w, x, b), backward)

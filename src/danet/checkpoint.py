@@ -50,15 +50,15 @@ class Checkpoint:
         """Instantiate the network from stored arrays.
 
         ``best=True`` loads the best-validation parameter set (inference);
-        ``best=False`` loads the current training state (resume).
+        ``best=False`` loads the current training state (resume).  The
+        net holds the stored arrays themselves, without a copy.
         """
         if not best:
             self._require_all_arrays("build the current training state")
-        net = EmbedNet(self.config, seed=0, n_anchors=self.n_anchors)
         prefix = "best/" if best else "param/"
-        for name in net.params:
-            net.params[name].data = self.arrays[prefix + name].copy()
-        return net
+        arrays = {name: self.arrays[prefix + name]
+                  for name in self.config.param_shapes(self.n_anchors)}
+        return EmbedNet.from_arrays(self.config, arrays, self.n_anchors)
 
     def build_adam(self) -> AdamState:
         self._require_all_arrays("build the optimizer state")

@@ -123,9 +123,9 @@ def stft(w: Waveform) -> ComplexSpectrogram:
         raise ValueError(
             f"signal too short: {x.size} samples, need at least {WINDOW_LEN}"
         )
-    t = n_frames(x.size)
-    idx = HOP * np.arange(t)[:, None] + np.arange(WINDOW_LEN)[None, :]
-    frames = x[idx] * sqrt_hann(WINDOW_LEN)
+    # frame t is a view of x[t*HOP : t*HOP + WINDOW_LEN]; windowing copies it
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_LEN)[::HOP]
+    frames = frames * sqrt_hann(WINDOW_LEN)
     spec = np.fft.rfft(frames, n=WINDOW_LEN, axis=1).T
     return ComplexSpectrogram(spec, sample_rate=w.sample_rate)
 

@@ -14,10 +14,16 @@ def ibm(source_mags: np.ndarray) -> np.ndarray:
     """Ideal binary mask: 1 where a source strictly dominates, ties to the
     lowest source index."""
     mags = np.atleast_2d(np.asarray(source_mags, dtype=np.float64))
-    winners = np.argmax(mags, axis=0)  # argmax takes the first max: low index wins ties
-    masks = np.zeros_like(mags)
-    masks[winners, np.arange(mags.shape[1])] = 1.0
-    return masks
+    # One pass along each source row: an argmax down the short source axis
+    # strides across whole rows and runs about twice as slow.
+    winners = np.zeros(mags.shape[1], dtype=np.intp)
+    best = mags[0]
+    for i in range(1, mags.shape[0]):
+        # only a strictly louder source wins; as in argmax, the first NaN wins
+        wins = (mags[i] > best) | (np.isnan(mags[i]) & ~np.isnan(best))
+        winners[wins] = i
+        best = np.where(wins, mags[i], best)
+    return (winners == np.arange(mags.shape[0])[:, None]).astype(np.float64)
 
 
 def irm(source_mags: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, tanh
+from .autograd import Tensor, dense_tanh
 from .dsp import N_FREQ
 
 __all__ = [
@@ -75,14 +75,19 @@ def standardize(features: np.ndarray) -> np.ndarray:
 def context_stack(features: np.ndarray, context: int) -> np.ndarray:
     """Stack each frame with its neighbours: (F, T) -> ((2c+1)F, T).
 
-    Edge frames are replicated so T is unchanged.
+    Edge frames are replicated so T is unchanged.  Each block is written
+    by slices, in one pass over the output.
     """
     f, t = features.shape
-    blocks = []
-    for off in range(-context, context + 1):
-        idx = np.clip(np.arange(t) + off, 0, t - 1)
-        blocks.append(features[:, idx])
-    return np.concatenate(blocks, axis=0)
+    out = np.empty(((2 * context + 1) * f, t), dtype=features.dtype)
+    for j, off in enumerate(range(-context, context + 1)):
+        block = out[j * f : (j + 1) * f]
+        lo = min(t, max(0, -off))          # frames before lo take frame 0
+        hi = max(lo, min(t, t - off))      # frames from hi on take frame t-1
+        block[:, lo:hi] = features[:, lo + off : hi + off]
+        block[:, :lo] = features[:, :1]
+        block[:, hi:] = features[:, -1:]
+    return out
 
 
 class EmbedNet:
@@ -93,17 +98,30 @@ class EmbedNet:
     """
 
     def __init__(self, config: EmbedNetConfig, seed: int = 0, n_anchors: int = 0):
-        self.config = config
-        self.seed = seed
-        self.n_anchors = n_anchors
         rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
+        arrays = {}
         for name, shape in config.param_shapes(n_anchors).items():
-            if name == "anchors":
-                init = rng.uniform(-1.0, 1.0, size=shape)
-            else:
-                init = rng.uniform(-0.05, 0.05, size=shape)
-            self.params[name] = Tensor(init, requires_grad=True)
+            bound = 1.0 if name == "anchors" else 0.05
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        self._hold(config, n_anchors, arrays)
+
+    @classmethod
+    def from_arrays(cls, config: EmbedNetConfig, arrays: dict,
+                    n_anchors: int = 0) -> "EmbedNet":
+        """A net whose parameters are ``arrays[name]``, drawing no
+        initialization.  The arrays are held, not copied: Adam rebinds a
+        parameter's ``data`` and never writes into the array it held."""
+        net = cls.__new__(cls)
+        net._hold(config, n_anchors, arrays)
+        return net
+
+    def _hold(self, config: EmbedNetConfig, n_anchors: int, arrays: dict):
+        self.config = config
+        self.n_anchors = n_anchors
+        self.params: dict[str, Tensor] = {
+            name: Tensor(arrays[name], requires_grad=True)
+            for name in config.param_shapes(n_anchors)
+        }
 
     @property
     def anchors(self) -> Tensor:
@@ -130,16 +148,11 @@ class EmbedNet:
         f, t = features.shape
         if f != cfg.n_freq:
             raise ValueError(f"features have {f} rows, config expects {cfg.n_freq}")
-        x = context_stack(standardize(features), cfg.context)
-        h = Tensor(x)  # constant input
+        h = context_stack(standardize(features), cfg.context)  # constant input
         for i in range(len(cfg.hidden_sizes)):
-            h = tanh(self.params[f"w{i}"] @ h + self.params[f"b{i}"])
-        out = tanh(self.params["w_out"] @ h + self.params["b_out"])  # (K*F, T)
-        return (
-            out.reshape(cfg.embed_dim, f, t)
-            .transpose((0, 2, 1))
-            .reshape(cfg.embed_dim, f * t)
-        )
+            h = dense_tanh(self.params[f"w{i}"], h, self.params[f"b{i}"])
+        return dense_tanh(self.params["w_out"], h, self.params["b_out"],
+                          blocks=cfg.embed_dim)
 
 
 @dataclass

@@ -24,7 +24,16 @@ from .attractor import (
 )
 from .autograd import no_grad
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
-from .dsp import flatten_tf, log_magnitude, magnitude, n_frames, stft
+from .dsp import (
+    HOP,
+    WINDOW_LEN,
+    Waveform,
+    flatten_tf,
+    log_magnitude,
+    magnitude,
+    n_frames,
+    stft,
+)
 from .inference import fixed_attractors
 from .masks import ibm, wfm
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
@@ -108,11 +117,19 @@ def load_corpus(rows: list) -> list:
     return corpus
 
 
-def _utterance_mags(item: dict) -> tuple:
-    """Per-utterance magnitude spectrograms: (mix F x T, sources C x F x T)."""
-    mix_mag = magnitude(stft(item["mix"]))
-    src_mags = np.stack([magnitude(stft(s)) for s in item["sources"]])
-    return mix_mag, src_mags
+def _utterance_mags(item: dict, frames: tuple | None = None) -> tuple:
+    """Magnitude spectrograms (mix F x T, sources C x F x T) of a whole
+    utterance, or of its ``frames = (start, length)``.  A chunk transforms
+    only the samples under its frames, which gives bitwise the columns of
+    the whole utterance's spectrogram."""
+    def mag(w: Waveform) -> np.ndarray:
+        if frames is not None:
+            start, length = frames
+            w = Waveform(w.samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN],
+                         w.sample_rate)
+        return magnitude(stft(w))
+
+    return mag(item["mix"]), np.stack([mag(s) for s in item["sources"]])
 
 
 def _chunks(frames: int, length: int) -> list:
@@ -133,7 +150,8 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     (ADANet) fills ``slots`` outputs (default C): sources it lacks get
     all-zero target masks, Y comes from the anchor subset that wins
     selection on the numeric embeddings, rebuilt on the tape so gradients
-    reach the anchors, and the loss is minimized over target permutations.
+    reach the anchors (under ``no_grad`` the selection's own attractors
+    are used), and the loss is minimized over target permutations.
     """
     anchored = net.n_anchors > 0
     c = len(source_mags)
@@ -145,14 +163,18 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     target = wfm(src_flat)
     v = net.embed(log_magnitude(mix_mag))
     w = threshold_vector(x_flat, q)
-    if anchored:
-        target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
-        subset = select_attractor_set(net.anchors.data, v.data, w, slots).subset
-        y = assignments_from_anchors(net.anchors.take_rows(list(subset)), v)
+    if not anchored:
+        a = form_attractors(v, ibm(src_flat), w)
     else:
-        y = ibm(src_flat)
-    est = estimate_masks(similarity_scores(form_attractors(v, y, w), v),
-                         net.config.mask_nl)
+        target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
+        selection = select_attractor_set(net.anchors.data, v.data, w, slots)
+        if v.requires_grad:
+            y = assignments_from_anchors(
+                net.anchors.take_rows(list(selection.subset)), v)
+            a = form_attractors(v, y, w)
+        else:
+            a = selection.attractors  # bitwise what the tape rebuild gives
+    est = estimate_masks(similarity_scores(a, v), net.config.mask_nl)
     if anchored:
         return pit_loss(x_flat, target, est)[0]
     return reconstruction_loss(x_flat, target, est)
@@ -334,9 +356,8 @@ def train(
 
             train_loss = 0.0
             for step, (utt_idx, start, length) in enumerate(order):
-                mix_mag, src_mags = _utterance_mags(train_corpus[utt_idx])
-                mix_chunk = mix_mag[:, start : start + length]
-                src_chunk = src_mags[:, :, start : start + length]
+                mix_chunk, src_chunk = _utterance_mags(train_corpus[utt_idx],
+                                                       (start, length))
                 loss = train_step(net, opt, mix_chunk, src_chunk, settings.q, slots)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -389,9 +410,7 @@ def train(
     # Table of averaged oracle attractors for the fixed-attractor strategy.
     fixed_table = None
     if settings.model == "danet":
-        best_net = EmbedNet(net.config, seed=0, n_anchors=net.n_anchors)
-        for name in best_net.params:
-            best_net.params[name].data = best_arrays[name].copy()
+        best_net = EmbedNet.from_arrays(net.config, best_arrays, net.n_anchors)
         fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, slots)
     return _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
                              best_arrays, best_val, epoch, state, fixed_table)

@@ -24,6 +24,7 @@ from danet.attractor import (
     similarity_scores,
     threshold_vector,
 )
+from danet.autograd import no_grad
 from danet.dsp import Waveform, flatten_tf, log_magnitude
 from danet.masks import wfm
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
@@ -394,6 +395,18 @@ class TestAdanetTrainStep:
         before = net.anchors.data.copy()
         train_step(net, AdamState(lr=1e-3), mix, src, slots=2)
         assert not np.array_equal(net.anchors.data, before)
+
+    @pytest.mark.parametrize("slots", [2, 3])
+    def test_untaped_loss_scores_the_selection_attractors(self, slots):
+        # without a tape the loss takes the winner's attractors from the
+        # selection; they are bitwise what the taped rebuild gives
+        mix, src = toy_mixture(seed=17)
+        net = EmbedNet(TINY, seed=18, n_anchors=6)
+        taped = training_loss(net, mix, src, slots=slots).item()
+        with mock.patch("danet.training.form_attractors",
+                        side_effect=AssertionError("rebuilt the winner")), no_grad():
+            untaped = training_loss(net, mix, src, slots=slots).item()
+        assert untaped == taped
 
     def test_more_sources_than_slots_rejected(self):
         mix, src = toy_mixture(seed=13, c=3)

@@ -48,19 +48,26 @@ class TestThresholdVector:
     def test_all_equal_keeps_everything(self):
         assert threshold_vector(np.full(32, 0.7), 0.9).sum() == 32
 
+    @pytest.mark.parametrize("q,kept", [(0.70000000001, 8), (0.7, 7), (0.1, 1),
+                                         (np.float64(0.9), 9), (0.3000000000000001, 4)])
+    def test_q_just_above_a_bin_boundary_keeps_the_next_bin(self, q, kept):
+        assert threshold_vector(np.arange(10.0), q).sum() == kept
+
     def test_bad_q_rejected(self):
         with pytest.raises(ValueError):
             threshold_vector(np.ones(4), 0.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(ft=st.integers(1, 2000), q_milli=st.integers(1, 1000),
+    @settings(max_examples=300, deadline=None)
+    @given(ft=st.integers(1, 2000),
+           q=st.floats(0.0, 1.0, exclude_min=True) | st.integers(1, 1000).map(lambda m: m / 1000),
            levels=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-    def test_keeps_at_least_the_q_fraction(self, ft, q_milli, levels, seed):
-        # q on a 1e-3 grid, as callers write it; few magnitude levels give ties
+    def test_keeps_at_least_the_q_fraction(self, ft, q, levels, seed):
+        # any q in (0, 1], read as the decimal it prints as; a 1e-3 grid as
+        # callers write it; few magnitude levels give ties
         rng = np.random.default_rng(seed)
         mags = rng.integers(0, levels, ft) * rng.uniform(0.01, 10.0)
-        w = threshold_vector(mags, q_milli / 1000)
-        need = ceil(Fraction(q_milli, 1000) * ft)
+        w = threshold_vector(mags, q)
+        need = ceil(Fraction(repr(q)) * ft)
         assert set(np.unique(w)) <= {0.0, 1.0}
         assert w.sum() >= need
         # a kept bin is never quieter than a dropped one

@@ -1,9 +1,11 @@
 """Gradient-engine checks: every op against central finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from danet.autograd import Tensor, exp, no_grad, sigmoid, tanh
+from danet.autograd import Tensor, dense_tanh, exp, no_grad, sigmoid, tanh
 from danet.nn import EmbedNet, EmbedNetConfig
 
 
@@ -96,6 +98,53 @@ class TestMatmulAndShape:
         check_op(lambda t: (t[1:3] * 2.0).sum(), (4, 3))
 
 
+class TestDenseTanh:
+    """``dense_tanh`` against finite differences, in both output layouts
+    and for every mix of parents that require a gradient."""
+
+    # (blocks, rows of w): plain R x T output, and K=3 blocks of F=2 rows
+    LAYOUTS = [(None, 4), (3, 6)]
+    MIXES = [m for m in itertools.product((False, True), repeat=3) if any(m)]
+
+    @pytest.mark.parametrize("blocks,rows", LAYOUTS)
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_gradients_match_finite_differences(self, blocks, rows, mix):
+        rng = np.random.default_rng(7)
+        arrays = [rng.uniform(-0.8, 0.8, (rows, 5)), rng.uniform(-1.0, 1.0, (5, 3)),
+                  rng.uniform(-0.5, 0.5, (rows, 1))]
+        weights = rng.standard_normal(dense_tanh(*map(Tensor, arrays), blocks=blocks).shape)
+
+        def loss_of(w, x, b):
+            return (dense_tanh(w, x, b, blocks=blocks) * weights).sum()
+
+        tensors = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, mix)]
+        loss_of(*tensors).backward()
+        for i, (t, needs) in enumerate(zip(tensors, mix)):
+            if not needs:
+                assert t.grad is None
+                continue
+
+            def f(arr, i=i):
+                args = [Tensor(a) for a in arrays]
+                args[i] = Tensor(arr)
+                return float(loss_of(*args).data)
+
+            np.testing.assert_allclose(t.grad, numeric_grad(f, arrays[i].copy()),
+                                       atol=1e-6)
+
+    def test_frame_major_layout(self):
+        rng = np.random.default_rng(8)
+        w, x, b = (rng.standard_normal(shape) for shape in ((6, 4), (4, 5), (6, 1)))
+        plain = np.tanh(w @ x + b)                       # (K*F, T), K=3, F=2
+        framed = dense_tanh(Tensor(w), x, Tensor(b), blocks=3).data
+        np.testing.assert_array_equal(
+            framed, plain.reshape(3, 2, 5).transpose(0, 2, 1).reshape(3, 10))
+
+    def test_no_parent_needing_gradient_records_nothing(self):
+        out = dense_tanh(Tensor(np.ones((2, 3))), np.ones((3, 4)), Tensor(np.zeros((2, 1))))
+        assert not out.requires_grad and out._parents == ()
+
+
 class TestAnalyticCases:
     def test_sum_of_squares_gradient(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -108,6 +157,14 @@ class TestAnalyticCases:
         (used * 2.0).sum().backward()
         assert unused.grad is None
         np.testing.assert_allclose(used.grad, 2.0)
+
+    def test_constant_matmul_operand_keeps_no_gradient(self):
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        x = Tensor(np.ones((3, 4)))
+        for out in (w @ x, x.T @ w.T):
+            out.sum().backward()
+            assert x.grad is None
+            w.grad = None
 
     def test_grad_accumulates_over_shared_subexpression(self):
         p = Tensor(np.array([3.0]), requires_grad=True)

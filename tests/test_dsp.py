@@ -44,6 +44,15 @@ class TestStft:
         mags = np.abs(stft(w).values)
         assert np.all(mags.argmax(axis=0) == 32)
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(WINDOW_LEN, 3000), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_gathered_frames(self, n, seed):
+        # the frames as an index gather, windowed and transformed the same way
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        idx = HOP * np.arange(n_frames(n))[:, None] + np.arange(WINDOW_LEN)
+        want = np.fft.rfft(x[idx] * sqrt_hann(WINDOW_LEN), n=WINDOW_LEN, axis=1).T
+        np.testing.assert_array_equal(stft(Waveform(x, SAMPLE_RATE)).values, want)
+
     def test_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(700)

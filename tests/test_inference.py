@@ -307,6 +307,18 @@ def toy_wave(seed=0, n=4000):
 
 
 class TestSeparate:
+    @pytest.mark.parametrize("strategy", [KMeansStrategy(seed=0), AnchoredStrategy()])
+    def test_never_writes_into_the_net_arrays(self, strategy):
+        # a net built from a checkpoint holds its arrays without a copy
+        held = trained_toy_net(seed=4, n_anchors=3)
+        arrays = {name: p.data for name, p in held.params.items()}
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        net = EmbedNet.from_arrays(held.config, arrays, n_anchors=3)
+        separate(net, toy_wave(seed=5), 2, strategy)
+        for name, arr in arrays.items():
+            assert net.params[name].data is arr
+            np.testing.assert_array_equal(arr, before[name])
+
     def test_softmax_outputs_sum_to_mixture_reconstruction(self):
         net = trained_toy_net()
         mix = toy_wave()

@@ -14,6 +14,7 @@ import danet.checkpoint as checkpoint_module
 from danet.checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from danet.dsp import Waveform
 from danet.nn import EmbedNetConfig
+from danet.training import train_step
 from danet.wavio import wav_read, wav_write
 
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
@@ -230,6 +231,37 @@ class TestCheckpoint:
         current = loaded.build_net(best=False)
         np.testing.assert_array_equal(best.params["w0"].data, ckpt.arrays["best/w0"])
         np.testing.assert_array_equal(current.params["w0"].data, ckpt.arrays["param/w0"])
+
+    @pytest.mark.parametrize("best", [True, False])
+    def test_build_net_holds_stored_arrays_without_drawing(self, tmp_path,
+                                                           monkeypatch, best):
+        checkpoint_save(make_checkpoint(6), tmp_path / "h.ckpt")
+        loaded = checkpoint_load(tmp_path / "h.ckpt")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("build_net drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        net = loaded.build_net(best=best)
+        prefix = "best/" if best else "param/"
+        assert net.params.keys() == TINY.param_shapes(n_anchors=3).keys()
+        for name, p in net.params.items():
+            assert p.data is loaded.arrays[prefix + name]
+
+    def test_resumed_step_leaves_stored_arrays_alone(self, tmp_path):
+        ckpt = make_checkpoint(7)
+        for name in [k for k in ckpt.arrays if k.startswith("adam_v/")]:
+            ckpt.arrays[name] = np.abs(ckpt.arrays[name])  # second moments are >= 0
+        checkpoint_save(ckpt, tmp_path / "r.ckpt")
+        loaded = checkpoint_load(tmp_path / "r.ckpt")
+        before = {name: arr.copy() for name, arr in loaded.arrays.items()}
+        net, opt = loaded.build_net(best=False), loaded.build_adam()
+        rng = np.random.default_rng(8)
+        mix = rng.uniform(0.1, 1.0, (7, 9))
+        train_step(net, opt, mix, np.stack([0.6 * mix, 0.4 * mix]), slots=2)
+        assert not np.array_equal(net.params["w0"].data, before["param/w0"])
+        for name, arr in loaded.arrays.items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_header_without_config_rejected(self, tmp_path):
         checkpoint_save(make_checkpoint(5), tmp_path / "ok.ckpt")

@@ -1,11 +1,27 @@
 """Oracle mask definitions and their algebra."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danet.masks import ibm, irm, wfm
 
 
 class TestIbm:
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), n=st.integers(0, 40), levels=st.integers(1, 4),
+           nans=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_argmax_oracle(self, c, n, levels, nans, seed):
+        # few levels give ties; a NaN counts as the largest value, the
+        # first one winning, as in np.argmax
+        rng = np.random.default_rng(seed)
+        mags = rng.integers(0, levels, (c, n)).astype(np.float64)
+        if n:
+            mags.reshape(-1)[rng.integers(0, c * n, nans)] = np.nan
+        want = np.zeros((c, n))
+        want[np.argmax(mags, axis=0), np.arange(n)] = 1.0
+        np.testing.assert_array_equal(ibm(mags), want)
+
     def test_dominant_source_wins(self):
         masks = ibm(np.array([[3.0], [4.0]]))
         np.testing.assert_array_equal(masks, [[0.0], [1.0]])

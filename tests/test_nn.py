@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from danet.autograd import Tensor
+from danet.autograd import Tensor, tanh
 from danet.nn import (
     AdamState,
     EmbedNet,
@@ -92,7 +94,94 @@ class TestForward:
         assert EmbedNet(TINY, seed=0).n_params() == 428
 
 
+def chained_embed(net: EmbedNet, features: np.ndarray) -> Tensor:
+    """The embedding as a chain of public tensor ops (matmul, bias add,
+    tanh, then reshape/transpose/reshape to frame-major columns): the
+    oracle for the one-node-per-layer forward and backward."""
+    cfg = net.config
+    f, t = features.shape
+    h = Tensor(context_stack(standardize(features), cfg.context))
+    for i in range(len(cfg.hidden_sizes)):
+        h = tanh(net.params[f"w{i}"] @ h + net.params[f"b{i}"])
+    out = tanh(net.params["w_out"] @ h + net.params["b_out"])
+    return (out.reshape(cfg.embed_dim, f, t).transpose((0, 2, 1))
+            .reshape(cfg.embed_dim, f * t))
+
+
+class TestEmbedMatchesChainedOps:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), f=st.integers(1, 6), t=st.integers(1, 9),
+           context=st.integers(0, 2),
+           hidden=st.lists(st.integers(1, 5), min_size=0, max_size=2),
+           consumers=st.sampled_from(["v", "v.T", "both"]), seed=st.integers(0, 2**16))
+    def test_value_and_gradients_bitwise(self, k, f, t, context, hidden, consumers,
+                                         seed):
+        cfg = EmbedNetConfig(context=context, hidden_sizes=tuple(hidden),
+                             embed_dim=k, n_freq=f)
+        net = EmbedNet(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        feats = rng.standard_normal((f, t))
+        a = rng.standard_normal((2, k))            # attractor-like C x K constant
+        y = rng.uniform(0.0, 1.0, (2, f * t))      # assignment-like C x FT constant
+
+        def run(embed):
+            net.zero_grad()
+            v = embed(net, feats)
+            # the loss reads v directly and through its transpose
+            terms = {"v": ((a @ v) ** 2.0).sum(), "v.T": ((y @ v.T) ** 2.0).sum()}
+            loss = terms["v"] + terms["v.T"] if consumers == "both" else terms[consumers]
+            loss.backward()
+            return v.data, {name: p.grad for name, p in net.params.items()}
+
+        want_v, want_g = run(chained_embed)
+        got_v, got_g = run(EmbedNet.embed)
+        np.testing.assert_array_equal(got_v, want_v)
+        for name in want_g:
+            np.testing.assert_array_equal(got_g[name], want_g[name])
+
+
+class TestFromArrays:
+    def test_holds_the_arrays_and_draws_nothing(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        arrays = {name: rng.standard_normal(shape)
+                  for name, shape in TINY.param_shapes(n_anchors=3).items()}
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("from_arrays drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        net = EmbedNet.from_arrays(TINY, arrays, n_anchors=3)
+        assert net.params.keys() == arrays.keys() and net.n_anchors == 3
+        for name, p in net.params.items():
+            assert p.data is arrays[name] and p.requires_grad
+
+    def test_adam_never_writes_into_held_arrays(self):
+        rng = np.random.default_rng(22)
+        arrays = {name: rng.standard_normal(shape)
+                  for name, shape in TINY.param_shapes().items()}
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        net = EmbedNet.from_arrays(TINY, arrays)
+        opt = AdamState()
+        for _ in range(2):
+            net.zero_grad()
+            (net.embed(rng.standard_normal((7, 5))) ** 2.0).sum().backward()
+            adam_step(net.params, opt)
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(arr, before[name])
+            assert not np.array_equal(net.params[name].data, arr)
+
+
 class TestContextStack:
+    @settings(max_examples=100, deadline=None)
+    @given(f=st.integers(1, 5), t=st.integers(1, 9), context=st.integers(0, 4),
+           seed=st.integers(0, 2**16))
+    def test_matches_clipped_index_oracle(self, f, t, context, seed):
+        feats = np.random.default_rng(seed).standard_normal((f, t))
+        want = np.concatenate(
+            [feats[:, np.clip(np.arange(t) + off, 0, t - 1)]
+             for off in range(-context, context + 1)])
+        np.testing.assert_array_equal(context_stack(feats, context), want)
+
     def test_shape_and_edge_replication(self):
         feats = np.arange(12.0).reshape(3, 4)
         stacked = context_stack(feats, 1)

@@ -15,6 +15,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_every_traced_span_names_a_package_function():
+    """A renamed or removed span target fails here, not only as
+    ``spans_missing`` in a traced benchmark run."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    unresolved = [name for name, (module, path) in tracer.SPANS.items()
+                  if tracer._resolve(module, path) is None]
+    assert unresolved == []
+
+
 @pytest.mark.slow
 def test_bench_selfcheck_passes():
     proc = subprocess.run([sys.executable, "bench/selfcheck.py"], cwd=ROOT,

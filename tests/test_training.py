@@ -4,10 +4,19 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
-from danet.training import TrainerState, TrainSettings, TrainingDiverged, train
+from danet.dsp import HOP, SAMPLE_RATE, WINDOW_LEN, Waveform, n_frames, stft
+from danet.training import (
+    TrainerState,
+    TrainSettings,
+    TrainingDiverged,
+    _utterance_mags,
+    train,
+)
 
 MICRO = dict(
     chunk_short=40,
@@ -206,3 +215,24 @@ class TestTraining:
         with pytest.raises(ValueError):
             train([], [], TrainSettings(**MICRO), tmp_path / "x.ckpt",
                   tmp_path / "x.log")
+
+
+class TestChunkSpectrogram:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(WINDOW_LEN, 4000), data=st.data())
+    def test_chunk_equals_slice_of_whole_utterance(self, n, data):
+        frames = n_frames(n)
+        start = data.draw(st.integers(0, frames - 1), label="start")
+        length = data.draw(st.integers(1, frames - start), label="length")
+        rng = np.random.default_rng(n)
+        item = {"mix": Waveform(rng.uniform(-1.0, 1.0, n), SAMPLE_RATE),
+                "sources": [Waveform(rng.uniform(-0.5, 0.5, n), SAMPLE_RATE)
+                            for _ in range(2)]}
+        cols = slice(start, start + length)
+        samples = item["mix"].samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
+        np.testing.assert_array_equal(stft(Waveform(samples, SAMPLE_RATE)).values,
+                                      stft(item["mix"]).values[:, cols])
+        mix, src = _utterance_mags(item)
+        mix_chunk, src_chunk = _utterance_mags(item, (start, length))
+        np.testing.assert_array_equal(mix_chunk, mix[:, cols])
+        np.testing.assert_array_equal(src_chunk, src[:, :, cols])
