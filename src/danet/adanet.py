@@ -50,7 +50,8 @@ class SubsetSelection:
     subset_index: int
     subset: tuple
     attractors: np.ndarray          # C x K
-    similarities: list              # max off-diagonal of A_p A_p^T per subset
+    similarities: list              # max off-diagonal of A_p A_p^T per subset;
+                                    # exact for the subsets rescored
 
 
 def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -65,25 +66,50 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
     that is not finite never wins, and if no subset has a finite score
     the selection raises ``ValueError``.
 
-    Every subset is scored from one ``anchors @ v`` product, a run of
-    bins at a time; the winner's attractors are then rebuilt on their
-    own, so they equal what :func:`form_attractors` gives for that subset.
+    Every subset is first scored from one ``anchors @ v`` product with one
+    exp per anchor and bin.  The subsets those scores cannot rank -- each
+    within 1e-9 of the least (relative to the larger of it and the
+    subset's largest squared attractor norm), and each the shared shift
+    cannot resolve -- are then scored exactly, each from its own
+    :func:`form_attractors` rebuild, and the least exact score wins.  So
+    the winner's score and attractors are what that subset's own
+    computation gives; on real inputs only the winner is rebuilt.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     n = anchors.shape[0]
     if c > n:
         raise ValueError(f"C={c} exceeds the {n} available anchors")
     subsets = enumerate_subsets(n, c)
-    scores = _subset_scores(anchors @ v, v, w, np.array(subsets))
+    scores, scales = _subset_scores(anchors @ v, v, w, np.array(subsets))
+    rescore = np.isnan(scores)
     finite = np.isfinite(scores)
-    if not finite.any():
+    if finite.any():
+        least = int(np.argmin(np.where(finite, scores, np.inf)))
+        rescore[least] = True
+        if c > 1:  # with C=1 every fast score is exactly 0
+            tol = 1e-9 * np.maximum(abs(scores[least]), scales)
+            rescore |= np.abs(scores - scores[least]) <= tol
+    best, attractors = None, None
+    for p in np.flatnonzero(rescore):
+        scores[p], a = _exact_score(anchors[list(subsets[p])], v, w)
+        if np.isfinite(scores[p]) and (best is None or scores[p] < scores[best]):
+            best, attractors = int(p), a
+    if best is None:
         if np.all(scores == np.inf):
             raise ValueError("every anchor subset left a source empty under threshold")
         raise ValueError("no anchor subset has a finite similarity score")
-    best = int(np.argmin(np.where(finite, scores, np.inf)))
-    subset = subsets[best]
-    a = form_attractors(v, assignments_from_anchors(anchors[list(subset)], v), w)
-    return SubsetSelection(best, subset, a, scores.tolist())
+    return SubsetSelection(best, subsets[best], attractors, scores.tolist())
+
+
+def _exact_score(anchors: np.ndarray, v: np.ndarray, w) -> tuple:
+    """One subset's score and attractors from its own assignment; inf and
+    no attractors if a source is left without weight mass."""
+    try:
+        a = form_attractors(v, assignments_from_anchors(anchors, v), w)
+    except ValueError:                    # a source empty under threshold
+        return np.inf, None
+    c = a.shape[0]
+    return (float((a @ a.T)[~np.eye(c, dtype=bool)].max()) if c > 1 else 0.0), a
 
 
 # Bytes of assignment rows scored at once.  A block holds every subset's
@@ -92,35 +118,49 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
 # every block.
 _BLOCK_BYTES = 1 << 20
 
+# Below this a softmax denominator, or a source's weight mass, has lost
+# significant bits to the shift shared by all subsets.
+_TINY = 2.0 ** -500
 
-def _subset_scores(d: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> np.ndarray:
-    """In-set similarity of each subset (row of ``subsets``) of the rows of
-    ``d = anchors @ v``; inf where a source gets no weight mass."""
+
+def _subset_scores(d: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> tuple:
+    """Fast in-set similarity of each subset (row of ``subsets``) of the
+    rows of ``d = anchors @ v``, and each subset's largest squared
+    attractor norm.  Every bin is shifted by its largest anchor
+    similarity, the same for all subsets, so it takes one exp per anchor.
+    A score is NaN where that shift cannot resolve the subset: a
+    denominator or a source's weight mass fell below ``_TINY``."""
     n_sub, c = subsets.shape
     ft = d.shape[1]
     cols = max(1, _BLOCK_BYTES // (8 * n_sub * c))
     w = np.broadcast_to(np.asarray(w, dtype=np.float64).reshape(-1), (ft,))
     num = np.zeros((n_sub * c, v.shape[0]))               # sum of (y * w) v^T
     mass = np.zeros(n_sub * c)                            # sum of y * w
-    # an empty source divides by zero mass; its subset is set to inf below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    ones = np.ones(cols)
+    unresolved = np.zeros(n_sub, dtype=bool)
+    # an underflowed denominator gives inf and NaN here; its subset is
+    # marked unresolved
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, ft, cols):
             bins = slice(start, start + cols)
-            y = d[:, bins][subsets]                       # P x C x bins
-            y -= y.max(axis=1, keepdims=True)
-            np.exp(y, out=y)
-            y /= y.sum(axis=1, keepdims=True)
-            y *= w[bins]
+            e = d[:, bins]
+            e = np.exp(e - np.fmax.reduce(e, axis=0))      # N x bins
+            den = e[subsets[:, 0]]                        # P x bins
+            for j in range(1, c):
+                den += e[subsets[:, j]]
+            unresolved |= np.any(den < _TINY, axis=1)
+            y = (e * w[bins])[subsets]                    # P x C x bins
+            y *= np.reciprocal(den, out=den)[:, None, :]
             y = y.reshape(n_sub * c, -1)
-            mass += y.sum(axis=1)
+            mass += y @ ones[: y.shape[1]]
             num += y @ v[:, bins].T
         a = (num / mass[:, None]).reshape(n_sub, c, -1)   # P x C x K
-        if c > 1:
-            s = (a @ a.transpose(0, 2, 1))[:, ~np.eye(c, dtype=bool)].max(axis=1)
-        else:
-            s = np.zeros(n_sub)
-    s[np.any(mass.reshape(n_sub, c) <= 0, axis=1)] = np.inf
-    return s
+        gram = a @ a.transpose(0, 2, 1)
+    scales = gram.diagonal(axis1=1, axis2=2).max(axis=1)
+    s = gram[:, ~np.eye(c, dtype=bool)].max(axis=1) if c > 1 else np.zeros(n_sub)
+    unresolved |= np.any(~(mass.reshape(n_sub, c) >= _TINY), axis=1)
+    s[unresolved] = np.nan
+    return s, scales
 
 
 def pit_loss(x, targets, estimates):

@@ -68,6 +68,13 @@ def _column_min(d: np.ndarray) -> tuple:
     return index, least
 
 
+# Bytes of retained points one Lloyd pass reads at a time.  A block of
+# columns stays in a 2 MB L2 cache while its distances, labels and
+# cluster sums are formed, so each pass streams the points from memory
+# once.
+_BLOCK_BYTES = 1 << 20
+
+
 def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding on the retained embeddings.
 
@@ -76,46 +83,57 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     change drops below 1e-6 or after 100 iterations; empty clusters are
     re-seeded to the point farthest from its assigned center.
     Squared distances use the expanded form |p|^2 - 2 c.p + |c|^2, one
-    matrix product per pass, clamped at 0 against rounding below zero.
+    matrix product per block of points, clamped at 0 against rounding
+    below zero.  Each pass labels a block and adds its cluster counts and
+    sums before it moves on to the next.
     """
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w).reshape(-1)
     if w.size != v.shape[1]:
         raise ValueError(f"w has {w.size} entries for {v.shape[1]} bins")
     points = np.compress(w > 0, v, axis=1)  # K x n, contiguous
-    n = points.shape[1]
+    k, n = points.shape
     if n < c:
         raise ValueError(f"only {n} retained bins for C={c} clusters")
     sq_norms = np.einsum("kn,kn->n", points, points)
     rng = np.random.default_rng(seed)
 
-    def sq_dists(centers: np.ndarray) -> np.ndarray:
-        """Squared distances, centers (C,K) x points -> (C,n)."""
-        d2 = centers @ points
+    def sq_dists(centers: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Squared distances, centers (C,K) x points[:, cols] -> (C,cols)."""
+        d2 = centers @ points[:, cols]
         d2 *= -2.0
-        d2 += sq_norms
+        d2 += sq_norms[cols]
         d2 += np.einsum("ck,ck->c", centers, centers)[:, None]
         return np.maximum(d2, 0.0, out=d2)
 
-    # k-means++ seeding
-    centers = np.empty((c, v.shape[0]))
+    # k-means++ seeding: each centre is drawn by its squared distance to
+    # the nearest centre drawn before it
+    centers = np.empty((c, k))
     centers[0] = points[:, rng.integers(n)]
-    closest = sq_dists(centers[:1])[0]
-    for k in range(1, c):
+    closest = np.full(n, np.inf)
+    for j in range(1, c):
+        np.minimum(closest, sq_dists(centers[j - 1 : j])[0], out=closest)
         total = closest.sum()
         if total > 0:
             probs = closest / total
-            centers[k] = points[:, rng.choice(n, p=probs)]
+            centers[j] = points[:, rng.choice(n, p=probs)]
         else:
-            centers[k] = points[:, rng.integers(n)]
-        closest = np.minimum(closest, sq_dists(centers[k : k + 1])[0])
+            centers[j] = points[:, rng.integers(n)]
 
     history = []
     prev = None
+    width = max(1, _BLOCK_BYTES // (8 * k))
     cluster_ids = np.arange(c)[:, None]
+    assigned = np.empty(n)                # squared distance to own centre
     for _ in range(100):
-        d2 = sq_dists(centers)
-        labels, assigned = _column_min(d2)
+        counts = np.zeros(c)
+        sums = np.zeros((c, k))
+        for start in range(0, n, width):
+            cols = slice(start, start + width)
+            labels, assigned[cols] = _column_min(sq_dists(centers, cols))
+            members = (labels == cluster_ids).astype(np.float64)  # C x block one-hot
+            counts += members.sum(axis=1)
+            sums += members @ points[:, cols].T
         inertia = float(assigned.sum())
         history.append(inertia)
         if inertia == 0.0:
@@ -123,9 +141,6 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
         if prev is not None and prev - inertia <= 1e-6 * prev:
             break
         prev = inertia
-        members = (labels == cluster_ids).astype(np.float64)  # C x n one-hot
-        counts = members.sum(axis=1)
-        sums = members @ points.T
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
         if not filled.all():

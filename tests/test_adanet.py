@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from danet import adanet
@@ -198,6 +198,88 @@ class TestSelectAttractorSet:
                                       rebuilt_attractors(anchors, v, w, choice.subset))
         assert all(type(s) is float for s in choice.similarities)
         assert_scores_close(choice.similarities, sims, scales)
+        # the winner is rescored exactly: its entry is the brute force's
+        assert choice.similarities[idx] == sims[idx]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        c_frac=st.floats(0.0, 1.0),
+        k=st.integers(1, 8),
+        ft=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # ties that blocked or shared-shift scores alone break otherwise
+    @example(n=4, c_frac=0.4, k=8, ft=1, seed=555)
+    @example(n=4, c_frac=0.4, k=8, ft=1, seed=1711)
+    def test_single_retained_bin_ties_follow_brute_force(self, n, c_frac, k, ft, seed):
+        # one retained bin makes every attractor that bin's embedding, so
+        # all subsets tie but for rounding; the exact rescoring breaks the
+        # tie as the brute force does
+        c = 1 + int(c_frac * (n - 1))
+        rng = np.random.default_rng(seed)
+        anchors = rng.standard_normal((n, k)) * rng.uniform(0.1, 5.0)
+        v = np.tanh(rng.standard_normal((k, ft)))
+        w = np.zeros(ft)
+        w[rng.integers(ft)] = 1.0
+        choice = select_attractor_set(anchors, v, w, c)
+        idx, sims, _, _ = brute_force_selection(anchors, v, w, c)
+        assert choice.subset_index == idx
+        assert choice.similarities[idx] == sims[idx]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        c_frac=st.floats(0.0, 1.0),
+        k=st.integers(1, 8),
+        ft=st.integers(1, 200),
+        scale=st.floats(50.0, 800.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_large_anchors_match_brute_force(self, n, c_frac, k, ft, scale, seed):
+        # similarities of hundreds: the exp shifted by the largest anchor
+        # underflows for the other subsets, which are then rescored
+        c = 1 + int(c_frac * (n - 1))
+        rng = np.random.default_rng(seed)
+        anchors = rng.standard_normal((n, k)) * scale
+        v = np.tanh(rng.standard_normal((k, ft)))
+        w = (rng.uniform(size=ft) < 0.7).astype(float)
+        w[rng.integers(ft)] = 1.0
+        idx, sims, a, _ = brute_force_selection(anchors, v, w, c)
+        if idx is None:
+            with pytest.raises(ValueError, match="every anchor subset left a source empty"):
+                select_attractor_set(anchors, v, w, c)
+            return
+        choice = select_attractor_set(anchors, v, w, c)
+        assert choice.subset_index == idx
+        assert choice.similarities[idx] == sims[idx]
+        np.testing.assert_array_equal(choice.attractors, a)
+
+    def test_subsets_the_shared_shift_cannot_resolve_are_rescored(self):
+        # anchor 0 leads every bin by 300 or more.  Subset (1, 2) has a
+        # denominator of e^-700 at t = 0, where anchor 2's exp underflows;
+        # in subset (3, 4) anchor 4's exp is subnormal at every bin, so
+        # its source mass is below e^-430.  Scored from the shared shift
+        # alone, both would be off by far more than rounding.
+        t = np.linspace(0.0, 1.0, 41)
+        v = np.vstack([np.ones_like(t), t])
+        anchors = np.array([[1500.0, 0.0], [800.0, 400.0], [740.0, 400.0],
+                            [1200.0, 3.0], [760.0, 10.0]])
+        choice = select_attractor_set(anchors, v, np.ones(41), 2)
+        idx, sims, a, scales = brute_force_selection(anchors, v, np.ones(41), 2)
+        assert_scores_close(choice.similarities, sims, scales)
+        assert choice.subset_index == idx
+        np.testing.assert_array_equal(choice.attractors, a)
+
+    def test_clear_winner_rebuilds_once(self):
+        rng = np.random.default_rng(23)
+        anchors = rng.standard_normal((6, 5))
+        v = np.tanh(rng.standard_normal((5, 400)))
+        _, sims, _, _ = brute_force_selection(anchors, v, np.ones(400), 3)
+        assert sorted(sims)[1] > 1.01 * sorted(sims)[0]
+        with mock.patch.object(adanet, "form_attractors", wraps=form_attractors) as spy:
+            select_attractor_set(anchors, v, np.ones(400), 3)
+        assert spy.call_count == 1
 
     def test_several_cache_blocks_match_brute_force(self):
         # 56 subsets of 3 over 2,000 bins: blocks of 780, 780 and 440 bins

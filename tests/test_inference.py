@@ -1,10 +1,13 @@
 """Clustering, fixed attractors, PCA, and the separation pipeline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from danet import inference
 from danet.dsp import Waveform, istft, stft
 from danet.inference import (
     AnchoredStrategy,
@@ -167,6 +170,72 @@ class TestKmeansMatchesReference:
         np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
         assert len(result.history) == len(expected.history)
         assert_labels_nearest(v, result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        n=st.integers(2, 300),
+        c=st.integers(1, 4),
+        width_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_of_any_width_match_reference(self, k, n, c, width_frac, seed, data_seed):
+        # blocks from one column to all of them, so the last is often partial
+        assume(n > c)
+        width = 1 + int(width_frac * (n - 1))
+        rng = np.random.default_rng(data_seed)
+        v = rng.standard_normal((k, c))[:, rng.integers(0, c, n)] * 3.0 + rng.standard_normal((k, n))
+        w = np.ones(n)
+        with mock.patch.object(inference, "_BLOCK_BYTES", width * 8 * k):
+            result = kmeans(v, c, w, seed=seed)
+        expected, _ = reference_kmeans(v, c, w, seed=seed)
+        np.testing.assert_array_equal(result.labels, expected.labels)
+        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+        assert len(result.history) == len(expected.history)
+
+    def test_several_real_size_blocks_match_reference(self):
+        # 20-dim points take 6,553 columns a block: 3 whole blocks and a part
+        assert inference._BLOCK_BYTES // (8 * 20) == 6553
+        rng = np.random.default_rng(15)
+        v = np.tanh(rng.standard_normal((20, 3))[:, rng.integers(0, 3, 22000)]
+                    + 0.8 * rng.standard_normal((20, 22000)))
+        w = (rng.uniform(size=22000) < 0.9).astype(float)
+        assert 3 * 6553 < w.sum() < 4 * 6553
+        result = kmeans(v, 3, w, seed=2)
+        expected, _ = reference_kmeans(v, 3, w, seed=2)
+        assert len(result.history) > 2
+        np.testing.assert_array_equal(result.labels, expected.labels)
+        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+        assert len(result.history) == len(expected.history)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        n=st.integers(1, 200),
+        c=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seeds_unchanged(self, k, n, c, seed, data_seed):
+        # the oracle also updates the nearest-centre distances after the
+        # last centre is drawn; kmeans skips that pass, which nothing reads
+        assume(n >= c)
+        v = np.random.default_rng(data_seed).standard_normal((k, n))
+        drawn = {}
+        real = np.random.default_rng
+
+        def recording(s):
+            drawn.setdefault("rngs", []).append(real(s))
+            return drawn["rngs"][-1]
+
+        with mock.patch.object(np.random, "default_rng", recording):
+            result = kmeans(v, c, np.ones(n), seed=seed)
+            expected, _ = reference_kmeans(v, c, np.ones(n), seed=seed)
+        # the same draws from the same stream, so the same first pass
+        kmeans_rng, reference_rng = drawn["rngs"]
+        assert kmeans_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert result.history[0] == pytest.approx(expected.history[0], rel=1e-12, abs=1e-12)
 
     def test_weights_must_cover_every_bin(self):
         with pytest.raises(ValueError, match="9 entries for 10 bins"):
