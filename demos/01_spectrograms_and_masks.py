@@ -15,14 +15,13 @@ from danet import (
     ibm,
     irm,
     istft,
-    magnitude,
     reconstruct,
     render_mixture,
     score_with_permutation,
     stft,
     wfm,
 )
-from danet.dsp import WINDOW_LEN
+from danet.dsp import SAMPLE_RATE, WINDOW_LEN
 
 # Two sources an octave-ish apart, slowly amplitude-modulated.
 spec = MixtureSpec(
@@ -34,7 +33,7 @@ spec = MixtureSpec(
     seed=0,
 )
 mixture, sources = render_mixture(spec)
-print(f"mixture: {len(mixture)} samples at {mixture.sample_rate} Hz")
+print(f"mixture: {len(mixture)} samples at {SAMPLE_RATE} Hz")
 
 # Analysis/synthesis is exact away from the first/last window.
 spec_mix = stft(mixture)
@@ -44,7 +43,7 @@ err = np.abs(rebuilt.samples[interior] - mixture.samples[interior]).max()
 print(f"STFT round-trip interior error: {err:.2e}")
 
 # Oracle masks from the reference magnitudes.
-src_flat = np.stack([flatten_tf(magnitude(stft(s))) for s in sources])
+src_flat = np.stack([flatten_tf(np.abs(stft(s))) for s in sources])
 for name, oracle in [("IBM", ibm), ("IRM", irm), ("WFM", wfm)]:
     masks = oracle(src_flat)
     estimates = reconstruct(masks, spec_mix)

@@ -20,7 +20,6 @@ from danet import (
     form_attractors,
     generate_dataset,
     ibm,
-    magnitude,
     pca_project,
     stft,
     train,
@@ -47,7 +46,7 @@ mixture = wav_read(row["mixture_path"])
 refs = [wav_read(p) for p in row["source_paths"]]
 
 _, v, w = embed_mixture(net, mixture, 0.9)
-src = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
+src = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
 labels = ibm(src).argmax(axis=0)
 attractors = form_attractors(v, ibm(src), w)
 

@@ -34,12 +34,10 @@ from .data import (
     synth_source,
 )
 from .dsp import (
-    ComplexSpectrogram,
     Waveform,
     flatten_tf,
     istft,
     log_magnitude,
-    magnitude,
     reconstruct,
     stft,
     unflatten_tf,

@@ -71,9 +71,9 @@ class Checkpoint:
         )
         for key, arr in self.arrays.items():
             if key.startswith("adam_m/"):
-                state.m[key[len("adam_m/"):]] = arr.copy()
+                state.m[key[len("adam_m/"):]] = arr
             elif key.startswith("adam_v/"):
-                state.v[key[len("adam_v/"):]] = arr.copy()
+                state.v[key[len("adam_v/"):]] = arr
         return state
 
     def _require_all_arrays(self, action: str) -> None:

@@ -16,7 +16,7 @@ from .adanet import detect_active_sources
 from .attractor import form_attractors
 from .checkpoint import checkpoint_load
 from .data import build_manifest, generate_dataset, load_index
-from .dsp import flatten_tf, magnitude, reconstruct, stft
+from .dsp import flatten_tf, reconstruct, stft
 from .inference import (
     AnchoredStrategy,
     FixedStrategy,
@@ -310,7 +310,7 @@ def cmd_evaluate(opts) -> int:
             estimates = [mixture] * c
         elif opts["oracle"] is not None:
             spec = stft(mixture)
-            src_flat = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
+            src_flat = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
             oracle_masks = {"wfm": wfm, "irm": irm, "ibm": ibm}[opts["oracle"]](src_flat)
             estimates = reconstruct(oracle_masks, spec)
         else:
@@ -322,6 +322,14 @@ def cmd_evaluate(opts) -> int:
             mixture.samples[:n],
         )
         results.append((row["mixture_path"].name, c, report))
+    if missing:
+        print(f"skipped {len(missing)} mixtures with missing/unreadable files:",
+              file=sys.stderr)
+        for msg in missing:
+            print(f"  {msg}", file=sys.stderr)
+    if not results:
+        raise RuntimeError(f"no mixture was scored: none of the {len(rows)} "
+                           f"rows of the index could be read")
     with open(opts["out"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mixture", "C", "si_snr_db", "si_snri_db", "snr_db",
@@ -344,11 +352,6 @@ def cmd_evaluate(opts) -> int:
         writer.writerow(["si_snri_db", f"{np.mean(means):.4f}", f"{np.median(means):.4f}"])
     print(f"evaluated {len(results)} mixtures: "
           f"SI-SNRi mean {np.mean(means):.2f} dB, median {np.median(means):.2f} dB")
-    if missing:
-        print(f"skipped {len(missing)} mixtures with missing/unreadable files:",
-              file=sys.stderr)
-        for msg in missing:
-            print(f"  {msg}", file=sys.stderr)
     return 0
 
 
@@ -358,7 +361,7 @@ def cmd_diagnose(opts) -> int:
     mixture = wav_read(opts["input"])
     refs = [wav_read(Path(p.strip())) for p in str(opts["refs"]).split(",")]
     _, v, w = embed_mixture(net, mixture, opts["q"])
-    src_flat = np.stack([flatten_tf(magnitude(stft(r))) for r in refs])
+    src_flat = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
     labels = np.argmax(src_flat, axis=0)
     attractors = form_attractors(v, ibm(src_flat), w)
     dims = min(3, net.config.embed_dim)

@@ -82,7 +82,7 @@ def synth_source(spec: SourceSpec) -> Waveform:
         x *= 0.5 * (1.0 + np.sin(2 * np.pi * spec.am_rate * t))
     peak = np.abs(x).max()
     x *= 0.5 / peak
-    return Waveform(x, SAMPLE_RATE)
+    return Waveform(x)
 
 
 def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> tuple:
@@ -100,10 +100,7 @@ def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> tuple:
         raise ValueError("zero-power source")
     scale = np.sqrt(p1 / p2 * 10.0 ** (-snr_db / 10.0))
     scaled = b * scale
-    return (
-        Waveform(a + scaled, s1.sample_rate),
-        Waveform(scaled, s2.sample_rate),
-    )
+    return Waveform(a + scaled), Waveform(scaled)
 
 
 def _scaled_sources(mix_spec: MixtureSpec) -> list:
@@ -117,7 +114,7 @@ def _scaled_sources(mix_spec: MixtureSpec) -> list:
     peak = np.abs(np.sum(scaled, axis=0)).max()
     if peak > 0.99:
         scaled = [s * (0.99 / peak) for s in scaled]
-    return [Waveform(s, SAMPLE_RATE) for s in scaled]
+    return [Waveform(s) for s in scaled]
 
 
 def render_mixture(mix_spec: MixtureSpec) -> tuple:
@@ -130,7 +127,7 @@ def render_mixture(mix_spec: MixtureSpec) -> tuple:
     total = np.zeros(len(sources[0]))
     for s in sources:
         total = total + s.samples
-    return Waveform(total, SAMPLE_RATE), sources
+    return Waveform(total), sources
 
 
 def build_manifest(
@@ -219,17 +216,36 @@ def generate_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
 
 def load_index(index_path) -> list:
-    """Read a dataset index back as a list of dicts with resolved paths."""
+    """Read a dataset index back as a list of dicts with resolved paths.
+
+    Each non-blank line must be a JSON object with a string
+    ``mixture_path`` and a non-empty list of strings ``source_paths``; any
+    other line raises ValueError naming the file, the line and the field.
+    """
     index_path = Path(index_path)
     base = index_path.parent
     rows = []
     with open(index_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            where = f"{index_path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: not valid JSON ({exc})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: row is not a JSON object")
+            if not isinstance(row.get("mixture_path"), str):
+                raise ValueError(f"{where}: field 'mixture_path' is missing "
+                                 "or not a string")
+            srcs = row.get("source_paths")
+            if not (isinstance(srcs, list) and srcs
+                    and all(isinstance(p, str) for p in srcs)):
+                raise ValueError(f"{where}: field 'source_paths' is missing "
+                                 "or not a non-empty list of strings")
             row["mixture_path"] = base / row["mixture_path"]
-            row["source_paths"] = [base / p for p in row["source_paths"]]
+            row["source_paths"] = [base / p for p in srcs]
             rows.append(row)
     return rows

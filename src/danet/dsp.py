@@ -9,7 +9,6 @@ else goes through them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,16 +18,14 @@ __all__ = [
     "HOP",
     "N_FREQ",
     "n_frames",
+    "SQRT_HANN",
     "Waveform",
-    "ComplexSpectrogram",
     "stft",
     "istft",
-    "magnitude",
     "log_magnitude",
     "reconstruct",
     "flatten_tf",
     "unflatten_tf",
-    "sqrt_hann",
 ]
 
 SAMPLE_RATE = 8000                 # Hz, for every signal the package reads or writes
@@ -42,12 +39,17 @@ def n_frames(n_samples: int) -> int:
     return 1 + (n_samples - WINDOW_LEN) // HOP
 
 
+# Square root of the periodic Hann window, sin(pi*n/N) for n in [0, N):
+# the analysis and the synthesis window.
+SQRT_HANN = np.sin(np.pi * np.arange(WINDOW_LEN) / WINDOW_LEN)
+SQRT_HANN.flags.writeable = False
+
+
 @dataclass
 class Waveform:
-    """Mono time-domain signal with its sample rate."""
+    """Mono time-domain signal at ``SAMPLE_RATE``."""
 
     samples: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -55,47 +57,9 @@ class Waveform:
             raise ValueError("waveform must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
     def __len__(self):
         return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-
-@lru_cache(maxsize=8)
-def sqrt_hann(length: int) -> np.ndarray:
-    """Square-root of the periodic Hann window: sin(pi*n/N) for n in [0, N)."""
-    win = np.sin(np.pi * np.arange(length) / length)
-    win.flags.writeable = False
-    return win
-
-
-@dataclass
-class ComplexSpectrogram:
-    """N_FREQ x T complex matrix."""
-
-    values: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ValueError("spectrogram must be 2-D (F x T)")
-        if self.values.shape[0] != N_FREQ:
-            raise ValueError(
-                f"spectrogram has {self.values.shape[0]} frequency rows, "
-                f"expected {N_FREQ}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrogram contains non-finite entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 def flatten_tf(mat: np.ndarray) -> np.ndarray:
@@ -111,8 +75,9 @@ def unflatten_tf(vec: np.ndarray, n_freq: int) -> np.ndarray:
     return vec.reshape(-1, n_freq).T
 
 
-def stft(w: Waveform) -> ComplexSpectrogram:
-    """Short-time Fourier transform with a square-root Hann analysis window.
+def stft(w: Waveform) -> np.ndarray:
+    """Short-time Fourier transform with a square-root Hann analysis window:
+    the N_FREQ x T complex128 array.
 
     Frame t covers samples [t*HOP, t*HOP + WINDOW_LEN); there is no
     zero-padding, so T = n_frames(len) and only the N_FREQ non-redundant
@@ -125,29 +90,30 @@ def stft(w: Waveform) -> ComplexSpectrogram:
         )
     # frame t is a view of x[t*HOP : t*HOP + WINDOW_LEN]; windowing copies it
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_LEN)[::HOP]
-    frames = frames * sqrt_hann(WINDOW_LEN)
-    spec = np.fft.rfft(frames, n=WINDOW_LEN, axis=1).T
-    return ComplexSpectrogram(spec, sample_rate=w.sample_rate)
+    frames = frames * SQRT_HANN
+    return np.fft.rfft(frames, n=WINDOW_LEN, axis=1).T
 
 
-def istft(spec: ComplexSpectrogram) -> Waveform:
-    """Inverse STFT by weighted overlap-add.
+def istft(spec: np.ndarray) -> Waveform:
+    """Inverse STFT of an N_FREQ x T spectrogram by weighted overlap-add.
 
     Each frame is multiplied by the square-root Hann synthesis window and
     the result is normalized by the summed squared window, so
     istft(stft(x)) is exact away from the first/last window where the
     overlap is partial.  Output length is (T-1)*HOP + WINDOW_LEN.
     """
-    t_frames = spec.n_frames
-    frames = np.fft.irfft(spec.values.T, n=WINDOW_LEN, axis=1)
-    win = sqrt_hann(WINDOW_LEN)
+    if spec.ndim != 2 or spec.shape[0] != N_FREQ:
+        raise ValueError(
+            f"spectrogram of shape {spec.shape} is not {N_FREQ} x T (F x T)")
+    t_frames = spec.shape[1]
+    frames = np.fft.irfft(spec.T, n=WINDOW_LEN, axis=1)
     # Sample block b (HOP samples) holds block j of frame b - j for each of
     # the WINDOW_LEN // HOP overlapping frames.  Adding j from the last
     # block down adds every sample's frames in frame order, as a loop over
     # frames would, so the sums are bitwise those of that loop.
     overlap = WINDOW_LEN // HOP
-    blocks = (frames * win).reshape(t_frames, overlap, HOP)
-    win_blocks = (win * win).reshape(overlap, HOP)
+    blocks = (frames * SQRT_HANN).reshape(t_frames, overlap, HOP)
+    win_blocks = (SQRT_HANN * SQRT_HANN).reshape(overlap, HOP)
     out = np.zeros((t_frames + overlap - 1, HOP))
     norm = np.zeros((t_frames + overlap - 1, HOP))
     for j in reversed(range(overlap)):
@@ -158,12 +124,7 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     out[~nonzero] = 0.0
-    return Waveform(out, sample_rate=spec.sample_rate)
-
-
-def magnitude(spec: ComplexSpectrogram) -> np.ndarray:
-    """Elementwise modulus of a complex spectrogram: an F x T array."""
-    return np.abs(spec.values)
+    return Waveform(out)
 
 
 def log_magnitude(mag: np.ndarray) -> np.ndarray:
@@ -172,26 +133,22 @@ def log_magnitude(mag: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(mag, 1e-8))
 
 
-def reconstruct(masks: np.ndarray, mix: ComplexSpectrogram) -> list:
-    """Apply C source masks to the mixture and invert each with the
-    mixture phase.
+def reconstruct(masks: np.ndarray, mix: np.ndarray) -> list:
+    """Apply C source masks to the mixture STFT ``mix`` and invert each
+    with the mixture phase.
 
     ``masks`` is a C x FT matrix of flattened masks in [0, 1]; source i's
     estimated spectrogram is (mask_i * |mix|) * exp(j angle(mix)), and the
     result is the C inverse transforms as ``Waveform``s.
     """
     masks = np.asarray(masks, dtype=np.float64)
-    f, t = mix.values.shape
+    f, t = mix.shape
     if masks.ndim != 2 or masks.shape[1] != f * t:
         raise ValueError(
             f"masks of shape {masks.shape} are not a C x F*T={f * t} matrix"
         )
     if np.any(masks < 0) or np.any(masks > 1):
         raise ValueError("mask entries must lie in [0, 1]")
-    mag = np.abs(mix.values)
-    phase = np.exp(1j * np.angle(mix.values))
-    return [
-        istft(ComplexSpectrogram(unflatten_tf(mask, f) * mag * phase,
-                                 sample_rate=mix.sample_rate))
-        for mask in masks
-    ]
+    mag = np.abs(mix)
+    phase = np.exp(1j * np.angle(mix))
+    return [istft(unflatten_tf(mask, f) * mag * phase) for mask in masks]

@@ -14,7 +14,7 @@ import numpy as np
 from .adanet import select_attractor_set
 from .attractor import estimate_masks, similarity_scores, threshold_vector
 from .autograd import no_grad
-from .dsp import Waveform, flatten_tf, log_magnitude, magnitude, reconstruct, stft
+from .dsp import Waveform, flatten_tf, log_magnitude, reconstruct, stft
 from .nn import EmbedNet
 
 __all__ = [
@@ -185,7 +185,7 @@ def embed_mixture(net: EmbedNet, mixture: Waveform, q: float = 0.9) -> tuple:
     threshold vector keeping the loudest fraction ``q`` of its bins.
     """
     spec = stft(mixture)
-    mag = magnitude(spec)
+    mag = np.abs(spec)
     with no_grad():
         v = net.embed(log_magnitude(mag)).data
     return spec, v, threshold_vector(flatten_tf(mag), q)

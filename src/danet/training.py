@@ -30,7 +30,6 @@ from .dsp import (
     Waveform,
     flatten_tf,
     log_magnitude,
-    magnitude,
     n_frames,
     stft,
 )
@@ -125,9 +124,8 @@ def _utterance_mags(item: dict, frames: tuple | None = None) -> tuple:
     def mag(w: Waveform) -> np.ndarray:
         if frames is not None:
             start, length = frames
-            w = Waveform(w.samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN],
-                         w.sample_rate)
-        return magnitude(stft(w))
+            w = Waveform(w.samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN])
+        return np.abs(stft(w))
 
     return mag(item["mix"]), np.stack([mag(s) for s in item["sources"]])
 
@@ -261,14 +259,17 @@ def _check_resume(ckpt: Checkpoint, path, settings: TrainSettings, slots: int,
 def _write_checkpoint(path, model_kind: str, slots: int, net: EmbedNet,
                       opt: AdamState, best_arrays: dict, best_val, epoch: int,
                       state: TrainerState, fixed_table=None) -> Checkpoint:
-    """Save the full training state (current, best and Adam arrays)."""
+    """Save the full training state (current, best and Adam arrays).
+
+    The arrays are held, not copied: Adam rebinds parameters and moments
+    and never writes into an array it held."""
     arrays = {}
     for name, p in net.params.items():
-        arrays[f"param/{name}"] = p.data.copy()
-        arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data)).copy()
-        arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data)).copy()
+        arrays[f"param/{name}"] = p.data
+        arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data))
+        arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data))
     for name, arr in best_arrays.items():
-        arrays[f"best/{name}"] = arr.copy()
+        arrays[f"best/{name}"] = arr
     if fixed_table is not None:
         arrays["fixed_attractors"] = np.asarray(fixed_table)
     ckpt = Checkpoint(
@@ -317,7 +318,7 @@ def train(
         net = ckpt.build_net(best=False)
         opt = ckpt.build_adam()
         best_arrays = {
-            name[len("best/"):]: arr.copy()
+            name[len("best/"):]: arr
             for name, arr in ckpt.arrays.items()
             if name.startswith("best/")
         }
@@ -328,7 +329,7 @@ def train(
         net = EmbedNet(settings.embed_config(), seed=settings.seed,
                        n_anchors=n_anchors)
         opt = AdamState(lr=settings.lr)
-        best_arrays = {name: p.data.copy() for name, p in net.params.items()}
+        best_arrays = {name: p.data for name, p in net.params.items()}
         best_val = None
         state = TrainerState()
         epoch = 0
@@ -372,7 +373,7 @@ def train(
             improved = best_val is None or val_loss < best_val
             if improved:
                 best_val = val_loss
-                best_arrays = {name: p.data.copy() for name, p in net.params.items()}
+                best_arrays = {name: p.data for name, p in net.params.items()}
                 state.since_best = 0
                 state.since_best_lr = 0
             else:

@@ -16,14 +16,12 @@ __all__ = ["wav_write", "wav_read"]
 
 
 def wav_write(w: Waveform, path) -> None:
-    """Write a waveform as mono 16-bit little-endian PCM.
+    """Write a waveform as mono 16-bit little-endian PCM at ``SAMPLE_RATE``.
 
     Samples are quantized round-half-away-from-zero; values outside
     [-1, 1] are clipped (with a warning reporting how many) and +1.0
     saturates to 32767.
     """
-    if w.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"sample rate must be {SAMPLE_RATE}, got {w.sample_rate}")
     x = w.samples
     n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     if n_clipped:
@@ -99,4 +97,4 @@ def wav_read(path) -> Waveform:
         raise ValueError(
             f"{path}: data chunk holds {len(payload)} bytes, not whole 16-bit samples")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, rate)
+    return Waveform(samples)

@@ -435,7 +435,7 @@ class TestDetectActiveSources:
     def _waves(self, scales):
         rng = np.random.default_rng(8)
         base = rng.standard_normal(200)
-        return [Waveform(base * s, 8000) for s in scales]
+        return [Waveform(base * s) for s in scales]
 
     def test_thirty_db_gap_discards_third(self):
         powers = self._waves([1.0, 1.0, np.sqrt(1e-3)])
@@ -449,11 +449,11 @@ class TestDetectActiveSources:
 
     def test_scale_invariance(self):
         waves = self._waves([1.0, 0.5, 0.001])
-        scaled = [Waveform(w.samples * 37.0, 8000) for w in waves]
+        scaled = [Waveform(w.samples * 37.0) for w in waves]
         assert detect_active_sources(waves) == detect_active_sources(scaled)
 
     def test_all_silent_all_active(self):
-        waves = [Waveform(np.zeros(10) + 0.0, 8000) for _ in range(2)]
+        waves = [Waveform(np.zeros(10) + 0.0) for _ in range(2)]
         assert detect_active_sources(waves) == [0, 1]
 
 

@@ -19,6 +19,15 @@ MICRO_TRAIN = [
 ]
 
 
+# index rows the loader refuses, with the field its message names
+MALFORMED_ROWS = [
+    ({"source_paths": ["a.wav"]}, "'mixture_path'"),
+    ([1, 2], "not a JSON object"),
+    ({"mixture_path": 5, "source_paths": ["a.wav"]}, "'mixture_path'"),
+    ({"mixture_path": "m.wav", "source_paths": "a.wav"}, "'source_paths'"),
+]
+
+
 def rewrite_header(src, dst, edit):
     """Copy a checkpoint, passing its JSON header through ``edit``."""
     blob = src.read_bytes()
@@ -192,6 +201,22 @@ class TestTrain:
             assert not (tmp_path / "new.ckpt").exists()
         assert resumed.read_bytes() == trained.read_bytes()
 
+    @pytest.mark.parametrize("row, field", MALFORMED_ROWS)
+    def test_malformed_index_row_exits_two(self, corpus, tmp_path, capsys,
+                                           row, field):
+        data = tmp_path / "data"
+        for split in ("train", "validation"):
+            (data / split).mkdir(parents=True)
+            for f in (corpus / split).iterdir():
+                (data / split / f.name).write_bytes(f.read_bytes())
+        with open(data / "validation" / "index.jsonl", "a") as fh:
+            fh.write(json.dumps(row) + "\n")
+        assert main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "x.ckpt"), *MICRO_TRAIN]) == 2
+        err = capsys.readouterr().err
+        assert "index.jsonl:5" in err and field in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_missing_data_runtime_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2
@@ -282,8 +307,8 @@ class TestSeparate:
         import danet.cli as cli_mod
 
         rng = np.random.default_rng(0)
-        live = [Waveform(rng.uniform(-0.5, 0.5, 4000), 8000) for _ in range(2)]
-        silent = Waveform(rng.uniform(-0.005, 0.005, 4000), 8000)
+        live = [Waveform(rng.uniform(-0.5, 0.5, 4000)) for _ in range(2)]
+        silent = Waveform(rng.uniform(-0.005, 0.005, 4000))
         monkeypatch.setattr(cli_mod, "separate",
                             lambda *a, **k: [live[0], silent, live[1]])
         row = load_index(corpus / "test" / "index.jsonl")[0]
@@ -363,6 +388,37 @@ class TestEvaluate:
             assert len(list(csv.DictReader(fh))) == 3
         assert "fmt chunk truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, field", MALFORMED_ROWS)
+    def test_malformed_index_row_exits_two(self, corpus, trained, tmp_path,
+                                           capsys, row, field):
+        data = tmp_path / "bad"
+        data.mkdir()
+        rows = (corpus / "test" / "index.jsonl").read_text()
+        (data / "index.jsonl").write_text(rows + json.dumps(row) + "\n")
+        out = tmp_path / "bad.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(trained), "--data", str(data),
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "index.jsonl:5" in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_nothing_scored_exits_two(self, corpus, trained, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "index.jsonl").write_text(
+            (corpus / "test" / "index.jsonl").read_text())
+        out = tmp_path / "none.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(trained), "--data", str(empty),
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "skipped 4 mixtures" in err and "no mixture was scored" in err
+        assert not out.exists()
+        assert not (tmp_path / "none_summary.csv").exists()
+
 
 class TestDiagnose:
     def test_row_count_is_bins_plus_attractors_plus_anchors(
@@ -386,7 +442,7 @@ class TestDiagnose:
         assert kinds == {"bin", "attractor", "anchor"}
 
     def test_bin_labels_match_dominant_source(self, corpus, trained, tmp_path):
-        from danet.dsp import flatten_tf, magnitude
+        from danet.dsp import flatten_tf
         from danet.masks import ibm
 
         row = load_index(corpus / "test" / "index.jsonl")[1]
@@ -398,7 +454,7 @@ class TestDiagnose:
             "--out", str(out),
         ]) == 0
         src_flat = np.stack([
-            flatten_tf(magnitude(stft(wav_read(p))))
+            flatten_tf(np.abs(stft(wav_read(p))))
             for p in row["source_paths"]
         ])
         expected = ibm(src_flat).argmax(axis=0)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from danet.data import (
     SourceSpec,
@@ -22,7 +24,7 @@ class TestSynthSource:
     def test_pure_tone_peaks_at_expected_bin(self):
         spec = SourceSpec(f0=250.0, n_harmonics=1, am_rate=0.0, duration=1.0, seed=0)
         w = synth_source(spec)
-        mags = np.abs(stft(w).values)
+        mags = np.abs(stft(w))
         expected_bin = round(250.0 / 8000.0 * 256)
         assert np.all(mags.argmax(axis=0) == expected_bin)
 
@@ -48,7 +50,7 @@ class TestMixAtSnr:
         a = rng.standard_normal(4000)
         b = rng.standard_normal(4000)
         b *= np.sqrt(np.mean(a**2) / np.mean(b**2))  # equal power
-        return Waveform(a, 8000), Waveform(b, 8000)
+        return Waveform(a), Waveform(b)
 
     def test_equal_power_zero_db_scale_one(self):
         s1, s2 = self._pair()
@@ -70,10 +72,10 @@ class TestMixAtSnr:
             np.testing.assert_array_equal(mix.samples, s1.samples + scaled.samples)
 
     def test_zero_power_rejected(self):
-        quiet = Waveform(np.zeros(100) + 1e-300, 8000)
-        loud = Waveform(np.ones(100), 8000)
+        quiet = Waveform(np.zeros(100) + 1e-300)
+        loud = Waveform(np.ones(100))
         with pytest.raises(ValueError):
-            mix_at_snr(loud, Waveform(np.zeros(100), 8000), 0.0)
+            mix_at_snr(loud, Waveform(np.zeros(100)), 0.0)
         del quiet
 
 
@@ -154,3 +156,50 @@ class TestGenerateDataset:
         for row in rows:
             assert row["mixture_path"].exists()
             assert all(p.exists() for p in row["source_paths"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestLoadIndex:
+    @pytest.mark.parametrize("row, field", [
+        ({"source_paths": ["a.wav"]}, "'mixture_path'"),
+        ([1, 2], "not a JSON object"),
+        ({"mixture_path": 5, "source_paths": ["a.wav"]}, "'mixture_path'"),
+        ({"mixture_path": "m.wav", "source_paths": "a.wav"}, "'source_paths'"),
+        ({"mixture_path": "m.wav", "source_paths": ["a.wav", 3]}, "'source_paths'"),
+        ({"mixture_path": "m.wav", "source_paths": []}, "'source_paths'"),
+    ])
+    def test_malformed_row_names_file_line_and_field(self, tmp_path, row, field):
+        index = tmp_path / "index.jsonl"
+        good = {"mixture_path": "m.wav", "source_paths": ["a.wav"]}
+        index.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"index.jsonl:3: .*{field}"):
+            load_index(index)
+
+    def test_line_that_is_not_json_rejected(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text("{not json\n")
+        with pytest.raises(ValueError, match="index.jsonl:1: not valid JSON"):
+            load_index(index)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(row=JSON_VALUES | st.fixed_dictionaries(
+        {"mixture_path": JSON_VALUES, "source_paths": JSON_VALUES}))
+    def test_any_json_row_loads_or_raises_value_error(self, tmp_path, row):
+        index = tmp_path / "index.jsonl"
+        index.write_text(json.dumps(row) + "\n")
+        try:
+            rows = load_index(index)
+        except ValueError:
+            return
+        assert isinstance(rows[0]["mixture_path"], type(tmp_path))
+        assert rows[0]["source_paths"] and all(
+            p.parent == tmp_path for p in rows[0]["source_paths"])

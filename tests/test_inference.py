@@ -372,7 +372,7 @@ def toy_wave(seed=0, n=4000):
     rng = np.random.default_rng(seed)
     t = np.arange(n) / 8000.0
     x = 0.4 * np.sin(2 * np.pi * 150 * t) + 0.3 * np.sin(2 * np.pi * 420 * t + 1.0)
-    return Waveform(x + 0.01 * rng.standard_normal(n), 8000)
+    return Waveform(x + 0.01 * rng.standard_normal(n))
 
 
 class TestSeparate:

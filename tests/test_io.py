@@ -23,7 +23,7 @@ TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 class TestWavWrite:
     def test_roundtrip_within_quantization_step(self, tmp_path):
         rng = np.random.default_rng(0)
-        w = Waveform(rng.uniform(-0.9, 0.9, 2000), 8000)
+        w = Waveform(rng.uniform(-0.9, 0.9, 2000))
         path = tmp_path / "x.wav"
         wav_write(w, path)
         back = wav_read(path)
@@ -31,37 +31,33 @@ class TestWavWrite:
 
     def test_full_scale_saturates(self, tmp_path):
         path = tmp_path / "one.wav"
-        wav_write(Waveform(np.array([1.0, -1.0]), 8000), path)
+        wav_write(Waveform(np.array([1.0, -1.0])), path)
         payload = path.read_bytes()[-4:]
         assert struct.unpack("<hh", payload) == (32767, -32768)
 
     def test_zero_signal_zero_payload(self, tmp_path):
         path = tmp_path / "z.wav"
-        wav_write(Waveform(np.zeros(64), 8000), path)
+        wav_write(Waveform(np.zeros(64)), path)
         assert path.read_bytes()[-128:] == b"\x00" * 128
 
     def test_clipping_warns(self, tmp_path):
         with pytest.warns(UserWarning, match="clipped"):
-            wav_write(Waveform(np.array([1.5, 0.0, -2.0]), 8000), tmp_path / "c.wav")
+            wav_write(Waveform(np.array([1.5, 0.0, -2.0])), tmp_path / "c.wav")
         back = wav_read(tmp_path / "c.wav")
         assert abs(back.samples[0] - 32767 / 32768) < 1e-9
-
-    def test_wrong_rate_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="sample rate"):
-            wav_write(Waveform(np.zeros(10), 16000), tmp_path / "r.wav")
 
     def test_round_half_away_from_zero(self, tmp_path):
         # 0.5/32768 quantizes away from zero in both directions
         val = 0.5 / 32768.0
         path = tmp_path / "h.wav"
-        wav_write(Waveform(np.array([val, -val]), 8000), path)
+        wav_write(Waveform(np.array([val, -val])), path)
         assert struct.unpack("<hh", path.read_bytes()[-4:]) == (1, -1)
 
 
 class TestWavRead:
     def _base(self, tmp_path):
         path = tmp_path / "ok.wav"
-        wav_write(Waveform(np.linspace(-0.5, 0.5, 100), 8000), path)
+        wav_write(Waveform(np.linspace(-0.5, 0.5, 100)), path)
         return path
 
     def test_stereo_rejected(self, tmp_path):

@@ -78,8 +78,8 @@ class TestSiSnr:
             assert abs(si_snr(est, ref) - oracle) < 1e-9
 
     def test_accepts_waveforms(self):
-        a = Waveform(S + N_ORTH, 8000)
-        b = Waveform(S, 8000)
+        a = Waveform(S + N_ORTH)
+        b = Waveform(S)
         assert abs(si_snr(a, b)) < 1e-9
 
 

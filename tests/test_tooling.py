@@ -36,14 +36,32 @@ def test_bench_selfcheck_passes():
     assert proc.stdout.strip().endswith("selfcheck: ok")
 
 
-def test_spectrogram_demo_runs():
-    """The first demo calls the signal front end directly (about 1 s), so
-    a change of its API breaks this test rather than only the demo."""
+def run_demo(name: str, tmp_path) -> str:
+    """Run ``demos/<name>.py`` to completion; its temporary corpus goes
+    under ``tmp_path``.  Returns what it printed."""
     proc = subprocess.run(
-        [sys.executable, "demos/01_spectrograms_and_masks.py"], cwd=ROOT,
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+        [sys.executable, f"demos/{name}.py"], cwd=ROOT,
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "TMPDIR": str(tmp_path),
+             "PYTHONPATH": os.pathsep.join(
+                 filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "WFM: SI-SNRi" in proc.stdout
+    return proc.stdout
+
+
+def test_spectrogram_demo_runs(tmp_path):
+    """The first demo calls the signal front end directly (about 1 s), so
+    a change of its API breaks this test rather than only the demo."""
+    assert "WFM: SI-SNRi" in run_demo("01_spectrograms_and_masks", tmp_path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, last_words", [
+    ("02_train_deep_attractor", "median SI-SNRi"),       # about 12 s
+    ("03_anchored_separation", "source count matched"),  # about 96 s
+    ("04_embedding_atlas", "attractor distance"),        # about 12 s
+], ids=["02", "03", "04"])
+def test_training_demo_runs(name, last_words, tmp_path):
+    """The other demos train a model first, so they run with the slow tests."""
+    assert last_words in run_demo(name, tmp_path)

@@ -1,5 +1,6 @@
 """Curriculum trainer: determinism, resume equivalence, divergence guard."""
 
+import gc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
-from danet.dsp import HOP, SAMPLE_RATE, WINDOW_LEN, Waveform, n_frames, stft
+from danet.dsp import HOP, WINDOW_LEN, Waveform, n_frames, stft
 from danet.training import (
     TrainerState,
     TrainSettings,
@@ -92,6 +93,22 @@ class TestTraining:
             assert (out / "full.log").read_bytes() == (out / "part.log").read_bytes()
             assert (out / "full.ckpt").read_bytes() == (out / "part.ckpt").read_bytes()
             assert straight.best_val_loss == resumed.best_val_loss
+
+    @pytest.mark.parametrize("kind", [{"model": "danet"},
+                                      {"model": "adanet", "anchors": 6}],
+                             ids=["danet", "adanet"])
+    def test_leaves_no_reference_cycles(self, micro_corpus, tmp_path, kind):
+        # a tape node that captured its own output would keep every step's
+        # arrays alive until the cyclic collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            train(micro_corpus["train"], micro_corpus["validation"],
+                  TrainSettings(**MICRO, **kind), tmp_path / "g.ckpt",
+                  tmp_path / "g.log")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_resume_rejects_other_model_kind(self, micro_corpus, tmp_path):
         adanet = {**MICRO, "model": "adanet", "anchors": 6}
@@ -225,13 +242,13 @@ class TestChunkSpectrogram:
         start = data.draw(st.integers(0, frames - 1), label="start")
         length = data.draw(st.integers(1, frames - start), label="length")
         rng = np.random.default_rng(n)
-        item = {"mix": Waveform(rng.uniform(-1.0, 1.0, n), SAMPLE_RATE),
-                "sources": [Waveform(rng.uniform(-0.5, 0.5, n), SAMPLE_RATE)
+        item = {"mix": Waveform(rng.uniform(-1.0, 1.0, n)),
+                "sources": [Waveform(rng.uniform(-0.5, 0.5, n))
                             for _ in range(2)]}
         cols = slice(start, start + length)
         samples = item["mix"].samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
-        np.testing.assert_array_equal(stft(Waveform(samples, SAMPLE_RATE)).values,
-                                      stft(item["mix"]).values[:, cols])
+        np.testing.assert_array_equal(stft(Waveform(samples)),
+                                      stft(item["mix"])[:, cols])
         mix, src = _utterance_mags(item)
         mix_chunk, src_chunk = _utterance_mags(item, (start, length))
         np.testing.assert_array_equal(mix_chunk, mix[:, cols])
