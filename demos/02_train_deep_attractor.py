@@ -25,10 +25,11 @@ from danet import (
 from danet.data import load_index
 from danet.training import TrainSettings
 
-work = Path(tempfile.mkdtemp(prefix="danet_demo_"))
+# the corpus is removed at the end, or at exit if the demo fails
+scratch = tempfile.TemporaryDirectory(prefix="danet_demo_")
+work = Path(scratch.name)
 for split, count in [("train", 60), ("validation", 12), ("test", 12)]:
     generate_dataset(build_manifest(split, count, (2,), seed=0), work / split)
-print(f"corpus in {work}")
 
 settings = TrainSettings(epochs_short=3, epochs_long=1, seed=0)
 ckpt = train(
@@ -58,3 +59,4 @@ for name, strategy in strategies.items():
         )
         scores.append(rep.mean_si_snri)
     print(f"{name:8s}: median SI-SNRi {np.median(scores):5.2f} dB over 12 mixtures")
+scratch.cleanup()

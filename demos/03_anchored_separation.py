@@ -30,7 +30,9 @@ from danet import (
 from danet.data import load_index
 from danet.training import TrainSettings
 
-work = Path(tempfile.mkdtemp(prefix="adanet_demo_"))
+# the corpus is removed at the end, or at exit if the demo fails
+scratch = tempfile.TemporaryDirectory(prefix="adanet_demo_")
+work = Path(scratch.name)
 for split, count in [("train", 200), ("validation", 40), ("test", 12)]:
     generate_dataset(build_manifest(split, count, (2, 3), seed=1), work / split)
 
@@ -70,3 +72,4 @@ for row in rows:
         f"detected {len(active)} active, SI-SNRi {rep.mean_si_snri:5.2f} dB"
     )
 print(f"source count matched on {correct}/{len(rows)} mixtures at demo scale")
+scratch.cleanup()

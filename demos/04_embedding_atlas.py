@@ -1,10 +1,10 @@
 """Project trained embeddings to principal components for plotting.
 
-Writes a CSV with one row per time-frequency bin (3 PCA coordinates, the
-dominant-source label, the salience flag) plus rows for the oracle
-attractors, mirroring what `danet diagnose` emits.  Load it in any
-plotting tool to see the per-source clusters and the attractors sitting
-inside them.
+Writes embedding_atlas.csv to the current directory: one row per
+time-frequency bin (3 PCA coordinates, the dominant-source label, the
+salience flag) plus rows for the oracle attractors, mirroring what
+`danet diagnose` emits.  Load it in any plotting tool to see the
+per-source clusters and the attractors sitting inside them.
 """
 
 import csv
@@ -28,7 +28,9 @@ from danet import (
 from danet.data import load_index
 from danet.training import TrainSettings
 
-work = Path(tempfile.mkdtemp(prefix="atlas_demo_"))
+# the corpus is removed at the end, or at exit if the demo fails
+scratch = tempfile.TemporaryDirectory(prefix="atlas_demo_")
+work = Path(scratch.name)
 for split, count in [("train", 60), ("validation", 12), ("test", 4)]:
     generate_dataset(build_manifest(split, count, (2,), seed=0), work / split)
 
@@ -53,7 +55,7 @@ attractors = form_attractors(v, ibm(src), w)
 pca = pca_project(v, 3)
 print("variance explained by PC1-3:", np.round(pca.explained, 3))
 
-out = work / "embedding_atlas.csv"
+out = Path("embedding_atlas.csv")
 with open(out, "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["kind", "pc1", "pc2", "pc3", "label", "salient"])
@@ -75,3 +77,4 @@ print(
     f"attractor distance {np.linalg.norm(att[0] - att[1]):.3f} vs "
     f"mean within-source spread {np.mean(spread):.3f}"
 )
+scratch.cleanup()

@@ -54,7 +54,7 @@ from .inference import (
 )
 from .masks import ibm, irm, wfm
 from .metrics import ScoreReport, score_with_permutation, si_snr, si_snr_improvement, snr
-from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
+from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
 from .training import (
     TrainerState,
     TrainSettings,

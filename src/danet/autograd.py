@@ -233,17 +233,6 @@ class Tensor:
     def T(self):
         return self.transpose()
 
-    def take_rows(self, indices):
-        """Gather rows by integer index; gradient scatter-adds back."""
-        idx = np.asarray(indices, dtype=np.intp)
-
-        def backward(out):
-            g = np.zeros_like(self.data)
-            np.add.at(g, idx, out.grad)
-            self._accum(g)
-
-        return Tensor._from_op(self.data[idx], (self,), backward)
-
     def __getitem__(self, key):
         def backward(out):
             g = np.zeros_like(self.data)

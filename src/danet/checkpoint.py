@@ -46,6 +46,43 @@ class Checkpoint:
     trainer: dict = field(default_factory=dict)   # phase + patience counters
     unread: tuple = ()                 # arrays an inference load left on disk
 
+    @classmethod
+    def of_training(cls, model_kind: str, slots: int, net: EmbedNet,
+                    opt: AdamState, best: dict, best_val_loss: float | None,
+                    epoch: int, trainer: dict,
+                    fixed_table: np.ndarray | None = None) -> "Checkpoint":
+        """The full training state: ``net``'s current parameters, the
+        ``best`` parameter arrays by name, and ``opt``'s moments (zero for
+        a parameter Adam has not stepped yet).
+
+        The arrays are held, not copied: Adam rebinds parameters and
+        moments and never writes into an array it held."""
+        arrays = {}
+        for name, p in net.params.items():
+            arrays[f"param/{name}"] = p.data
+            arrays[f"best/{name}"] = best[name]
+            arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data))
+            arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data))
+        if fixed_table is not None:
+            arrays["fixed_attractors"] = np.asarray(fixed_table)
+        return cls(
+            model_kind=model_kind,
+            config=net.config,
+            n_anchors=net.n_anchors,
+            slots=slots,
+            arrays=arrays,
+            adam={"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
+                  "eps": opt.eps, "step": opt.step},
+            epoch=epoch,
+            best_val_loss=best_val_loss,
+            trainer=trainer,
+        )
+
+    @property
+    def best_arrays(self) -> dict:
+        """The best-validation parameter arrays by name, without a copy."""
+        return self._params("best/")
+
     def build_net(self, best: bool = True) -> EmbedNet:
         """Instantiate the network from stored arrays.
 
@@ -55,10 +92,12 @@ class Checkpoint:
         """
         if not best:
             self._require_all_arrays("build the current training state")
-        prefix = "best/" if best else "param/"
-        arrays = {name: self.arrays[prefix + name]
-                  for name in self.config.param_shapes(self.n_anchors)}
+        arrays = self.best_arrays if best else self._params("param/")
         return EmbedNet.from_arrays(self.config, arrays, self.n_anchors)
+
+    def _params(self, prefix: str) -> dict:
+        return {name: self.arrays[prefix + name]
+                for name in self.config.param_shapes(self.n_anchors)}
 
     def build_adam(self) -> AdamState:
         self._require_all_arrays("build the optimizer state")

@@ -8,6 +8,7 @@ lines (flags win on conflict, unknown keys are rejected).  Exit codes:
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Option schemas: name -> (type caster, default, help).  A caster of bool
-# marks a store_true flag.
+# marks a store_true flag.  A train option that sets a TrainSettings field
+# defaults to None, so only the options given reach the settings.
 _SHARED = {
     "seed": (int, 0, "random seed"),
     "config": (str, None, "key=value config file; flags override it"),
@@ -65,23 +67,24 @@ _SCHEMAS = {
     },
     "train": {
         **_SHARED,
+        "seed": (int, None, "random seed"),
         "data": (str, None, "corpus directory with train/ and validation/ (required)"),
         "out": (str, None, "checkpoint output path (required)"),
         "log": (str, None, "loss log CSV path (default: <out>.log.csv)"),
-        "model": (str, "danet", "danet | adanet"),
-        "anchors": (int, 6, "anchor count (adanet)"),
+        "model": (str, None, "danet | adanet"),
+        "anchors": (int, None, "anchor count (adanet)"),
         "slots": (int, None, "adanet output slots (default: max C in data)"),
-        "epochs-short": (int, 4, "epoch cap for the short-chunk phase"),
-        "epochs-long": (int, 2, "epoch cap for the long-chunk phase"),
-        "chunk-short": (int, 100, "short-phase chunk length in frames"),
-        "chunk-long": (int, 400, "long-phase chunk length in frames"),
-        "lr": (float, 1e-3, "initial learning rate"),
-        "lr-long": (float, 1e-4, "learning rate restart for the long phase"),
-        "q": (float, 0.9, "salience threshold keep fraction"),
-        "context": (int, 2, "context frames on each side"),
-        "hidden": (str, "128,128", "hidden layer sizes"),
-        "embed-dim": (int, 20, "embedding dimension"),
-        "mask-nl": (str, "softmax", "mask nonlinearity: softmax | sigmoid"),
+        "epochs-short": (int, None, "epoch cap for the short-chunk phase"),
+        "epochs-long": (int, None, "epoch cap for the long-chunk phase"),
+        "chunk-short": (int, None, "short-phase chunk length in frames"),
+        "chunk-long": (int, None, "long-phase chunk length in frames"),
+        "lr": (float, None, "initial learning rate"),
+        "lr-long": (float, None, "learning rate restart for the long phase"),
+        "q": (float, None, "salience threshold keep fraction"),
+        "context": (int, None, "context frames on each side"),
+        "hidden": (str, None, "hidden layer sizes"),
+        "embed-dim": (int, None, "embedding dimension"),
+        "mask-nl": (str, None, "mask nonlinearity: softmax | sigmoid"),
         "resume": (bool, False, "resume from the checkpoint at --out"),
         "stop-after": (int, None, "stop cleanly after N total epochs"),
     },
@@ -185,22 +188,26 @@ def _parse_speakers(text: str) -> tuple:
     return counts
 
 
+def _check_strategy(name: str) -> None:
+    if name not in ("kmeans", "fixed", "anchored"):
+        raise UsageError(f"unknown strategy {name!r}")
+
+
 def _load_net(opts) -> tuple:
     ckpt = checkpoint_load(opts["checkpoint"], inference=True)
     return ckpt, ckpt.build_net(best=True)
 
 
 def _make_strategy(name: str, ckpt, seed: int):
+    """The strategy ``name``, which :func:`_check_strategy` has passed."""
     if name == "kmeans":
         return KMeansStrategy(seed=seed)
-    if name == "fixed":
-        table = ckpt.fixed_attractor_table
-        if table is None:
-            raise RuntimeError("checkpoint has no stored fixed-attractor table")
-        return FixedStrategy(table)
     if name == "anchored":
         return AnchoredStrategy()
-    raise UsageError(f"unknown strategy {name!r}")
+    table = ckpt.fixed_attractor_table
+    if table is None:
+        raise RuntimeError("checkpoint has no stored fixed-attractor table")
+    return FixedStrategy(table)
 
 
 # -- commands -----------------------------------------------------------------
@@ -225,35 +232,29 @@ def cmd_gen(opts) -> int:
     return 0
 
 
+# train options whose TrainSettings field is not the option's own name
+_TRAIN_FIELDS = {"hidden": "hidden_sizes", "stop-after": "stop_after_epochs"}
+
+
 def cmd_train(opts) -> int:
     _require(opts, "data", "out")
+    if opts["model"] not in (None, "danet", "adanet"):
+        raise UsageError("model must be danet or adanet")
+    known = {f.name for f in fields(TrainSettings)}
+    given = {}
+    for name, value in opts.items():
+        field = _TRAIN_FIELDS.get(name, name.replace("-", "_"))
+        if field in known and value is not None:
+            given[field] = value
+    if "hidden_sizes" in given:
+        try:
+            given["hidden_sizes"] = tuple(int(h) for h in opts["hidden"].split(","))
+        except ValueError:
+            raise UsageError(f"invalid --hidden value {opts['hidden']!r}")
+    settings = TrainSettings(**given)
     data = Path(opts["data"])
     train_rows = load_index(data / "train" / "index.jsonl")
     val_rows = load_index(data / "validation" / "index.jsonl")
-    if opts["model"] not in ("danet", "adanet"):
-        raise UsageError("model must be danet or adanet")
-    try:
-        hidden = tuple(int(h) for h in str(opts["hidden"]).split(","))
-    except ValueError:
-        raise UsageError(f"invalid --hidden value {opts['hidden']!r}")
-    settings = TrainSettings(
-        model=opts["model"],
-        anchors=opts["anchors"],
-        slots=opts["slots"],
-        q=opts["q"],
-        lr=opts["lr"],
-        lr_long=opts["lr-long"],
-        chunk_short=opts["chunk-short"],
-        chunk_long=opts["chunk-long"],
-        epochs_short=opts["epochs-short"],
-        epochs_long=opts["epochs-long"],
-        context=opts["context"],
-        hidden_sizes=hidden,
-        embed_dim=opts["embed-dim"],
-        mask_nl=opts["mask-nl"],
-        seed=opts["seed"],
-        stop_after_epochs=opts["stop-after"],
-    )
     log_path = opts["log"] or f"{opts['out']}.log.csv"
     ckpt = train(train_rows, val_rows, settings, opts["out"], log_path,
                  resume=opts["resume"])
@@ -265,12 +266,15 @@ def cmd_train(opts) -> int:
 
 def cmd_separate(opts) -> int:
     _require(opts, "checkpoint", "input")
-    ckpt, net = _load_net(opts)
-    mixture = wav_read(opts["input"])
+    _check_strategy(opts["strategy"])
     auto = str(opts["speakers"]).lower() == "auto"
     if auto and opts["strategy"] != "anchored":
         raise UsageError("--speakers auto requires --strategy anchored")
-    c = ckpt.slots if auto else _parse_speakers(opts["speakers"])[0]
+    c = None if auto else _parse_speakers(opts["speakers"])[0]
+    ckpt, net = _load_net(opts)
+    mixture = wav_read(opts["input"])
+    if auto:
+        c = ckpt.slots
     strategy = _make_strategy(opts["strategy"], ckpt, opts["seed"])
     estimates = separate(net, mixture, c, strategy, q=opts["q"])
     if auto:
@@ -289,6 +293,7 @@ def cmd_separate(opts) -> int:
 
 def cmd_evaluate(opts) -> int:
     _require(opts, "data", "out")
+    _check_strategy(opts["strategy"])
     if opts["oracle"] is None:
         _require(opts, "checkpoint")
         ckpt, net = _load_net(opts)

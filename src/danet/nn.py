@@ -19,7 +19,6 @@ __all__ = [
     "EmbedNet",
     "AdamState",
     "adam_step",
-    "lr_schedule",
     "standardize",
     "context_stack",
 ]
@@ -191,14 +190,3 @@ def adam_step(params: dict, state: AdamState) -> AdamState:
         p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
 
-
-def lr_schedule(state: AdamState, epochs_since_best: int,
-                patience: int = 3) -> AdamState:
-    """Halve the learning rate once no new best has appeared for
-    ``patience`` epochs.
-
-    The caller resets its own counter when the rate changes.
-    """
-    if epochs_since_best >= patience:
-        state.lr = state.lr / 2.0
-    return state

@@ -10,7 +10,6 @@ retraces the uninterrupted trajectory bit for bit.
 """
 
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -33,9 +32,9 @@ from .dsp import (
     n_frames,
     stft,
 )
-from .inference import fixed_attractors
+from .inference import embed_mixture, fixed_attractors
 from .masks import ibm, wfm
-from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step, lr_schedule
+from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
 from .wavio import wav_read
 
 __all__ = [
@@ -47,6 +46,13 @@ __all__ = [
     "training_loss",
     "load_corpus",
 ]
+
+# Epochs without a new best validation loss after which the learning rate
+# halves, phase one ends, and phase two stops.
+_PATIENCE_LR = 3
+_PATIENCE_SWITCH = 5
+_PATIENCE_STOP = 10
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; message records the step."""
@@ -64,13 +70,10 @@ class TrainSettings:
     chunk_long: int = 400
     epochs_short: int = 4             # per-phase epoch caps
     epochs_long: int = 2
-    patience_switch: int = 5
-    patience_stop: int = 10
-    patience_lr: int = 3
-    context: int = 2
-    hidden_sizes: tuple = (128, 128)
-    embed_dim: int = 20
-    mask_nl: str = "softmax"
+    context: int = EmbedNetConfig.context
+    hidden_sizes: tuple = EmbedNetConfig.hidden_sizes
+    embed_dim: int = EmbedNetConfig.embed_dim
+    mask_nl: str = EmbedNetConfig.mask_nl
     seed: int = 0
     stop_after_epochs: int | None = None   # interrupt cleanly after N global epochs
 
@@ -167,8 +170,7 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
         target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
         selection = select_attractor_set(net.anchors.data, v.data, w, slots)
         if v.requires_grad:
-            y = assignments_from_anchors(
-                net.anchors.take_rows(list(selection.subset)), v)
+            y = assignments_from_anchors(net.anchors[list(selection.subset)], v)
             a = form_attractors(v, y, w)
         else:
             a = selection.attractors  # bitwise what the tape rebuild gives
@@ -206,11 +208,8 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
     for item in corpus:
         if item["C"] != slots:
             continue
-        mix_mag, src_mags = _utterance_mags(item)
-        with no_grad():
-            v = net.embed(log_magnitude(mix_mag)).data
-        w = threshold_vector(flatten_tf(mix_mag), settings.q)
-        y = ibm(np.stack([flatten_tf(s) for s in src_mags]))
+        _, v, w = embed_mixture(net, item["mix"], settings.q)
+        y = ibm(np.stack([flatten_tf(np.abs(stft(s))) for s in item["sources"]]))
         try:
             sets.append(form_attractors(v, y, w))
         except ValueError:
@@ -256,36 +255,13 @@ def _check_resume(ckpt: Checkpoint, path, settings: TrainSettings, slots: int,
                              f"settings give {requested!r}")
 
 
-def _write_checkpoint(path, model_kind: str, slots: int, net: EmbedNet,
-                      opt: AdamState, best_arrays: dict, best_val, epoch: int,
-                      state: TrainerState, fixed_table=None) -> Checkpoint:
-    """Save the full training state (current, best and Adam arrays).
-
-    The arrays are held, not copied: Adam rebinds parameters and moments
-    and never writes into an array it held."""
-    arrays = {}
-    for name, p in net.params.items():
-        arrays[f"param/{name}"] = p.data
-        arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data))
-        arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data))
-    for name, arr in best_arrays.items():
-        arrays[f"best/{name}"] = arr
-    if fixed_table is not None:
-        arrays["fixed_attractors"] = np.asarray(fixed_table)
-    ckpt = Checkpoint(
-        model_kind=model_kind,
-        config=net.config,
-        n_anchors=net.n_anchors,
-        slots=slots,
-        arrays=arrays,
-        adam={"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-              "eps": opt.eps, "step": opt.step},
-        epoch=epoch,
-        best_val_loss=best_val,
-        trainer=asdict(state),
-    )
-    checkpoint_save(ckpt, path)
-    return ckpt
+def _epoch_zero(settings: TrainSettings, slots: int, n_anchors: int) -> Checkpoint:
+    """The checkpoint a fresh run starts from: the seeded net, zero Adam
+    moments, the best parameters equal to the current ones, no epoch run."""
+    net = EmbedNet(settings.embed_config(), seed=settings.seed, n_anchors=n_anchors)
+    best = {name: p.data for name, p in net.params.items()}
+    return Checkpoint.of_training(settings.model, slots, net, AdamState(lr=settings.lr),
+                                  best, None, 0, asdict(TrainerState()))
 
 
 def train(
@@ -298,45 +274,35 @@ def train(
 ) -> Checkpoint:
     """Train a model over the corpus, writing a checkpoint and a CSV log.
 
-    With ``resume=True`` the checkpoint at ``ckpt_path`` is loaded and
-    training continues from its stored epoch; the log file is appended.
-    Returns the final checkpoint (best parameters included).
+    A fresh run starts from the epoch-0 checkpoint; with ``resume=True``
+    the checkpoint at ``ckpt_path`` is loaded instead, and the log file is
+    appended.  Returns the final checkpoint (best parameters included).
     """
-    ckpt_path = Path(ckpt_path)
-    log_path = Path(log_path)
     train_corpus = load_corpus(train_rows)
     val_corpus = load_corpus(val_rows)
     if not train_corpus or not val_corpus:
         raise ValueError("training and validation splits must be non-empty")
     slots = _output_slots(settings, max(item["C"] for item in train_corpus))
     n_anchors = settings.anchors if settings.model == "adanet" else 0
-
     if resume:
         ckpt = checkpoint_load(ckpt_path)
         _check_resume(ckpt, ckpt_path, settings, slots, n_anchors)
-        state = TrainerState.from_dict(ckpt.trainer)
-        net = ckpt.build_net(best=False)
-        opt = ckpt.build_adam()
-        best_arrays = {
-            name[len("best/"):]: arr
-            for name, arr in ckpt.arrays.items()
-            if name.startswith("best/")
-        }
-        best_val = ckpt.best_val_loss
-        epoch = ckpt.epoch
-        log_fh = open(log_path, "a")
     else:
-        net = EmbedNet(settings.embed_config(), seed=settings.seed,
-                       n_anchors=n_anchors)
-        opt = AdamState(lr=settings.lr)
-        best_arrays = {name: p.data for name, p in net.params.items()}
-        best_val = None
-        state = TrainerState()
-        epoch = 0
-        log_fh = open(log_path, "w")
-        log_fh.write("epoch,phase,lr,train_loss,val_loss,new_best\n")
+        ckpt = _epoch_zero(settings, slots, n_anchors)
+    net, opt, best = ckpt.build_net(best=False), ckpt.build_adam(), ckpt.best_arrays
+    best_val, epoch = ckpt.best_val_loss, ckpt.epoch
+    state = TrainerState.from_dict(ckpt.trainer)
+    del ckpt  # held through the loop, it would pin the first parameters and moments
 
-    try:
+    def save(fixed_table=None) -> Checkpoint:
+        saved = Checkpoint.of_training(settings.model, slots, net, opt, best,
+                                       best_val, epoch, asdict(state), fixed_table)
+        checkpoint_save(saved, ckpt_path)
+        return saved
+
+    with open(log_path, "a" if resume else "w") as log_fh:
+        if not resume:
+            log_fh.write("epoch,phase,lr,train_loss,val_loss,new_best\n")
         while not state.done:
             if (settings.stop_after_epochs is not None
                     and epoch >= settings.stop_after_epochs):
@@ -345,7 +311,6 @@ def train(
             state.epoch_in_phase += 1
             chunk_len = (settings.chunk_short if state.phase == 1
                          else settings.chunk_long)
-            lr_this_epoch = opt.lr
 
             order = []
             for utt_idx, item in enumerate(train_corpus):
@@ -373,7 +338,7 @@ def train(
             improved = best_val is None or val_loss < best_val
             if improved:
                 best_val = val_loss
-                best_arrays = {name: p.data for name, p in net.params.items()}
+                best = {name: p.data for name, p in net.params.items()}
                 state.since_best = 0
                 state.since_best_lr = 0
             else:
@@ -381,17 +346,17 @@ def train(
                 state.since_best_lr += 1
 
             log_fh.write(
-                f"{epoch},{state.phase},{lr_this_epoch!r},"
+                f"{epoch},{state.phase},{opt.lr!r},"
                 f"{train_loss!r},{val_loss!r},{int(improved)}\n"
             )
             log_fh.flush()
 
-            if state.since_best_lr >= settings.patience_lr:
-                lr_schedule(opt, state.since_best_lr, settings.patience_lr)
+            if state.since_best_lr >= _PATIENCE_LR:
+                opt.lr = opt.lr / 2.0
                 state.since_best_lr = 0
 
             if state.phase == 1:
-                if (state.since_best >= settings.patience_switch
+                if (state.since_best >= _PATIENCE_SWITCH
                         or state.epoch_in_phase >= settings.epochs_short):
                     state.phase = 2
                     state.epoch_in_phase = 0
@@ -399,19 +364,15 @@ def train(
                     state.since_best_lr = 0
                     opt.lr = settings.lr_long
             else:
-                if (state.since_best >= settings.patience_stop
+                if (state.since_best >= _PATIENCE_STOP
                         or state.epoch_in_phase >= settings.epochs_long):
                     state.done = True
 
-            _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
-                              best_arrays, best_val, epoch, state)
-    finally:
-        log_fh.close()
+            save()
 
     # Table of averaged oracle attractors for the fixed-attractor strategy.
     fixed_table = None
     if settings.model == "danet":
-        best_net = EmbedNet.from_arrays(net.config, best_arrays, net.n_anchors)
+        best_net = EmbedNet.from_arrays(net.config, best, net.n_anchors)
         fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, slots)
-    return _write_checkpoint(ckpt_path, settings.model, slots, net, opt,
-                             best_arrays, best_val, epoch, state, fixed_table)
+    return save(fixed_table)

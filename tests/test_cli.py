@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from danet.cli import main
 from danet.data import load_index
 from danet.dsp import Waveform, istft, stft
+from danet.training import TrainSettings
 from danet.wavio import wav_read
 
 MICRO_TRAIN = [
@@ -225,6 +227,28 @@ class TestTrain:
         assert main(["train", "--data", str(corpus), "--out",
                      str(tmp_path / "x.ckpt"), "--model", "mystery"]) == 1
 
+    def test_only_given_options_reach_the_settings(self, corpus, tmp_path,
+                                                   monkeypatch):
+        import danet.cli as cli_mod
+
+        seen = []
+
+        def fake_train(train_rows, val_rows, settings, *args, **kwargs):
+            seen.append(settings)
+            return SimpleNamespace(epoch=0, best_val_loss=None)
+
+        monkeypatch.setattr(cli_mod, "train", fake_train)
+        out = str(tmp_path / "x.ckpt")
+        config = tmp_path / "train.cfg"
+        config.write_text("lr = 0.5\nhidden = 4,4\n")
+        assert main(["train", "--data", str(corpus), "--out", out]) == 0
+        assert main(["train", "--data", str(corpus), "--out", out,
+                     "--config", str(config), "--seed", "3",
+                     "--stop-after", "0"]) == 0
+        assert seen == [TrainSettings(),
+                        TrainSettings(lr=0.5, hidden_sizes=(4, 4), seed=3,
+                                      stop_after_epochs=0)]
+
 
 class TestSeparate:
     def test_writes_per_source_files(self, corpus, trained, tmp_path):
@@ -299,6 +323,23 @@ class TestSeparate:
             "--input", str(row["mixture_path"]), "--out", str(tmp_path),
             "--speakers", "auto",
         ]) == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--strategy", "bogus"], "unknown strategy 'bogus'"),
+        (["--speakers", "auto", "--strategy", "kmeans"],
+         "--speakers auto requires --strategy anchored"),
+        (["--speakers", "x"], "invalid --speakers value 'x'"),
+    ], ids=["strategy", "auto-kmeans", "speakers"])
+    def test_usage_error_before_any_read(self, tmp_path, capsys, extra, message):
+        # the checkpoint and input do not exist: a usage error must win
+        assert main([
+            "separate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--input", str(tmp_path / "missing.wav"),
+            "--out", str(tmp_path / "out"), *extra,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_auto_discards_silent_output(self, corpus, trained_adanet, tmp_path,
                                          monkeypatch):
@@ -403,6 +444,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "index.jsonl:5" in err and field in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unknown_strategy_before_any_read(self, tmp_path, capsys):
+        # the checkpoint and data do not exist: the usage error must win,
+        # also for an oracle run, which uses no strategy
+        for source in (["--checkpoint", str(tmp_path / "missing.ckpt")],
+                       ["--oracle", "wfm"]):
+            assert main([
+                "evaluate", *source, "--data", str(tmp_path / "missing"),
+                "--out", str(tmp_path / "x.csv"), "--strategy", "bogus",
+            ]) == 1
+            err = capsys.readouterr().err
+            assert "unknown strategy 'bogus'" in err and "Traceback" not in err
 
     def test_nothing_scored_exits_two(self, corpus, trained, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -12,7 +12,6 @@ from danet.nn import (
     EmbedNetConfig,
     adam_step,
     context_stack,
-    lr_schedule,
     standardize,
 )
 
@@ -249,31 +248,6 @@ class TestAdam:
         adam_step(p, st)
         adam_step(p, st)
         assert st.step == 2
-
-
-class TestLrSchedule:
-    def test_unchanged_below_threshold(self):
-        st = AdamState(lr=1e-3)
-        lr_schedule(st, 2)
-        assert st.lr == 1e-3
-
-    def test_halves_at_three(self):
-        st = AdamState(lr=1e-3)
-        lr_schedule(st, 3)
-        assert st.lr == 5e-4
-
-    def test_patience_sets_threshold(self):
-        st = AdamState(lr=1e-3)
-        lr_schedule(st, 1, patience=2)
-        assert st.lr == 1e-3
-        lr_schedule(st, 2, patience=2)
-        assert st.lr == 5e-4
-
-    def test_halves_compose(self):
-        st = AdamState(lr=1e-3)
-        lr_schedule(st, 3)
-        lr_schedule(st, 4)
-        assert st.lr == 2.5e-4
 
 
 class TestStability:

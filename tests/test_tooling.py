@@ -37,16 +37,21 @@ def test_bench_selfcheck_passes():
 
 
 def run_demo(name: str, tmp_path) -> str:
-    """Run ``demos/<name>.py`` to completion; its temporary corpus goes
-    under ``tmp_path``.  Returns what it printed."""
+    """Run ``demos/<name>.py`` to completion in ``tmp_path/run``, with its
+    temporary directory under ``tmp_path/tmp``, which it must leave empty.
+    Returns what it printed."""
+    run, tmp = tmp_path / "run", tmp_path / "tmp"
+    run.mkdir()
+    tmp.mkdir()
     proc = subprocess.run(
-        [sys.executable, f"demos/{name}.py"], cwd=ROOT,
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=run,
         capture_output=True, text=True, timeout=600,
-        env={**os.environ, "TMPDIR": str(tmp_path),
+        env={**os.environ, "TMPDIR": str(tmp),
              "PYTHONPATH": os.pathsep.join(
                  filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert list(tmp.iterdir()) == []
     return proc.stdout
 
 

@@ -1,6 +1,7 @@
 """Curriculum trainer: determinism, resume equivalence, divergence guard."""
 
 import gc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
 from danet.dsp import HOP, WINDOW_LEN, Waveform, n_frames, stft
+from danet.nn import EmbedNetConfig
 from danet.training import (
     TrainerState,
     TrainSettings,
@@ -79,20 +81,22 @@ class TestTraining:
                 micro_corpus["train"], micro_corpus["validation"],
                 TrainSettings(**MICRO, **kind), out / "full.ckpt", out / "full.log",
             )
-            # interrupted after the first epoch, then resumed to completion
-            train(
-                micro_corpus["train"], micro_corpus["validation"],
-                TrainSettings(**MICRO, **kind, stop_after_epochs=1),
-                out / "part.ckpt", out / "part.log",
-            )
-            resumed = train(
-                micro_corpus["train"], micro_corpus["validation"],
-                TrainSettings(**MICRO, **kind), out / "part.ckpt", out / "part.log",
-                resume=True,
-            )
-            assert (out / "full.log").read_bytes() == (out / "part.log").read_bytes()
-            assert (out / "full.ckpt").read_bytes() == (out / "part.ckpt").read_bytes()
-            assert straight.best_val_loss == resumed.best_val_loss
+            # interrupted after the first epoch, or before any (a resume of
+            # the epoch-0 checkpoint), then resumed to completion
+            for stop in (1, 0):
+                train(
+                    micro_corpus["train"], micro_corpus["validation"],
+                    TrainSettings(**MICRO, **kind, stop_after_epochs=stop),
+                    out / "part.ckpt", out / "part.log",
+                )
+                resumed = train(
+                    micro_corpus["train"], micro_corpus["validation"],
+                    TrainSettings(**MICRO, **kind), out / "part.ckpt",
+                    out / "part.log", resume=True,
+                )
+                assert (out / "full.log").read_bytes() == (out / "part.log").read_bytes()
+                assert (out / "full.ckpt").read_bytes() == (out / "part.ckpt").read_bytes()
+                assert straight.best_val_loss == resumed.best_val_loss
 
     @pytest.mark.parametrize("kind", [{"model": "danet"},
                                       {"model": "adanet", "anchors": 6}],
@@ -109,6 +113,37 @@ class TestTraining:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_start_checkpoint_released_before_first_step(self, micro_corpus,
+                                                         tmp_path, monkeypatch):
+        # held through the loop, the epoch-0 or loaded checkpoint would pin
+        # the first parameters and Adam moments for the whole run
+        import danet.training as training_mod
+
+        starts, alive = [], []
+
+        def recorded(make):
+            def wrapper(*args, **kwargs):
+                ckpt = make(*args, **kwargs)
+                starts.append(weakref.ref(ckpt))
+                return ckpt
+            return wrapper
+
+        def step(*args, **kwargs):
+            alive.append(starts[-1]() is not None)
+            return real_step(*args, **kwargs)
+
+        real_step = training_mod.train_step
+        monkeypatch.setattr(training_mod, "_epoch_zero",
+                            recorded(training_mod._epoch_zero))
+        monkeypatch.setattr(training_mod, "checkpoint_load",
+                            recorded(training_mod.checkpoint_load))
+        monkeypatch.setattr(training_mod, "train_step", step)
+        for resume in (False, True):
+            train(micro_corpus["train"], micro_corpus["validation"],
+                  TrainSettings(**MICRO, stop_after_epochs=1 + resume),
+                  tmp_path / "w.ckpt", tmp_path / "w.log", resume=resume)
+        assert len(starts) == 2 and alive and not any(alive)
 
     def test_resume_rejects_other_model_kind(self, micro_corpus, tmp_path):
         adanet = {**MICRO, "model": "adanet", "anchors": 6}
@@ -175,15 +210,22 @@ class TestTraining:
                                                  monkeypatch):
         import danet.training as training_mod
 
-        # no updates: the validation loss never improves after epoch 1
+        # No updates: the validation loss never improves after epoch 1, so
+        # the rate halves every 3 epochs, phase one ends 5 epochs after its
+        # best and phase two stops after 10, well inside the epoch caps.
         monkeypatch.setattr(training_mod, "train_step", lambda *a, **k: 0.0)
-        settings = TrainSettings(**{**MICRO, "epochs_short": 4, "patience_lr": 2})
+        settings = TrainSettings(**{**MICRO, "epochs_short": 8, "epochs_long": 20})
         train(micro_corpus["train"], micro_corpus["validation"], settings,
               tmp_path / "p.ckpt", tmp_path / "p.log")
         rows = [line.split(",") for line in
                 (tmp_path / "p.log").read_text().strip().splitlines()[1:]]
-        phase1_lr = [float(r[2]) for r in rows if r[1] == "1"]
-        assert phase1_lr == [1e-3, 1e-3, 1e-3, 5e-4]
+        lr = {phase: [float(r[2]) for r in rows if r[1] == phase]
+              for phase in ("1", "2")}
+        assert lr["1"] == [1e-3] * 4 + [5e-4] * 2
+        assert lr["2"] == [1e-4] * 3 + [5e-5] * 3 + [2.5e-5] * 3 + [1.25e-5]
+
+    def test_settings_default_to_the_net_config(self):
+        assert TrainSettings().embed_config() == EmbedNetConfig()
 
     def _refused(self, micro_corpus, tmp_path, settings, match):
         with pytest.raises(ValueError, match=match):
