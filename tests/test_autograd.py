@@ -91,10 +91,12 @@ class TestMatmulAndShape:
     def test_sum_axis_keepdims(self):
         check_op(lambda t: (t.sum(axis=0, keepdims=True) ** 2.0).sum(), (3, 4))
 
-    def test_getitem_slice(self):
-        check_op(lambda t: (t[1:3] * 2.0).sum(), (4, 3))
+    def test_take_rows(self):
         # an index list gathers rows; a repeated row's gradients add up
         check_op(lambda t: (t[[0, 2, 2]] ** 2.0).sum(), (4, 3))
+
+    def test_getitem_slice(self):
+        check_op(lambda t: (t[1:3] * 2.0).sum(), (4, 3))
 
 
 class TestDenseTanh:
