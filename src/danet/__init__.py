@@ -63,6 +63,6 @@ from .training import (
     train_step,
     training_loss,
 )
-from .wavio import wav_read, wav_write
+from .wavio import wav_read, wav_read_pcm, wav_write
 
 __version__ = "0.1.0"

@@ -133,16 +133,14 @@ class Checkpoint:
 def checkpoint_save(ckpt: Checkpoint, path) -> None:
     """Serialize a checkpoint; deterministic bytes for identical content."""
     ckpt._require_all_arrays("save it")
-    names = sorted(ckpt.arrays)
     manifest = []
     offset = 0
-    blobs = []
-    for name in names:
+    data = []  # each array is written from its own buffer, not a bytes copy
+    for name in sorted(ckpt.arrays):
         arr = np.ascontiguousarray(ckpt.arrays[name], dtype="<f8")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        data.append(arr)
+        offset += arr.nbytes
     header = {
         "version": _VERSION,
         "model_kind": ckpt.model_kind,
@@ -170,8 +168,8 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
             fh.write(_MAGIC)
             fh.write(struct.pack("<II", _VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for arr in data:
+                fh.write(arr.reshape(-1).view(np.uint8))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

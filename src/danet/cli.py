@@ -117,11 +117,15 @@ _SCHEMAS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(invoked: str | None) -> _Parser:
+    """The parser of every command name, with the options of the
+    ``invoked`` command alone: a run parses only one command's options."""
     parser = _Parser(prog="danet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command, prog=f"danet {command}")
+        if command != invoked:
+            continue
         for name, (caster, default, help_text) in schema.items():
             flag = f"--{name}"
             if caster is bool:
@@ -193,6 +197,12 @@ def _check_strategy(name: str) -> None:
         raise UsageError(f"unknown strategy {name!r}")
 
 
+def _check_q(q: float | None) -> None:
+    """Refuse a ``--q`` outside (0, 1], NaN included; None means not given."""
+    if q is not None and not (0 < q <= 1):
+        raise UsageError(f"--q must lie in (0, 1], got {q!r}")
+
+
 def _load_net(opts) -> tuple:
     ckpt = checkpoint_load(opts["checkpoint"], inference=True)
     return ckpt, ckpt.build_net(best=True)
@@ -240,6 +250,7 @@ def cmd_train(opts) -> int:
     _require(opts, "data", "out")
     if opts["model"] not in (None, "danet", "adanet"):
         raise UsageError("model must be danet or adanet")
+    _check_q(opts["q"])
     known = {f.name for f in fields(TrainSettings)}
     given = {}
     for name, value in opts.items():
@@ -267,6 +278,7 @@ def cmd_train(opts) -> int:
 def cmd_separate(opts) -> int:
     _require(opts, "checkpoint", "input")
     _check_strategy(opts["strategy"])
+    _check_q(opts["q"])
     auto = str(opts["speakers"]).lower() == "auto"
     if auto and opts["strategy"] != "anchored":
         raise UsageError("--speakers auto requires --strategy anchored")
@@ -294,6 +306,7 @@ def cmd_separate(opts) -> int:
 def cmd_evaluate(opts) -> int:
     _require(opts, "data", "out")
     _check_strategy(opts["strategy"])
+    _check_q(opts["q"])
     if opts["oracle"] is None:
         _require(opts, "checkpoint")
         ckpt, net = _load_net(opts)
@@ -362,6 +375,7 @@ def cmd_evaluate(opts) -> int:
 
 def cmd_diagnose(opts) -> int:
     _require(opts, "checkpoint", "input", "refs", "out")
+    _check_q(opts["q"])
     ckpt, net = _load_net(opts)
     mixture = wav_read(opts["input"])
     refs = [wav_read(Path(p.strip())) for p in str(opts["refs"]).split(",")]
@@ -405,7 +419,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

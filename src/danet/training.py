@@ -26,7 +26,6 @@ from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from .dsp import (
     HOP,
     WINDOW_LEN,
-    Waveform,
     flatten_tf,
     log_magnitude,
     n_frames,
@@ -35,7 +34,7 @@ from .dsp import (
 from .inference import embed_mixture, fixed_attractors
 from .masks import ibm, wfm
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
-from .wavio import wav_read
+from .wavio import pcm_waveform, wav_read_pcm
 
 __all__ = [
     "TrainSettings",
@@ -110,25 +109,27 @@ class TrainerState:
 
 
 def load_corpus(rows: list) -> list:
-    """Read the waveforms behind dataset index rows into memory."""
+    """Read the signals behind dataset index rows into memory as the int16
+    PCM the files store, 2 bytes a sample; a step converts only the
+    samples it transforms (:func:`danet.wavio.pcm_waveform`)."""
     corpus = []
     for row in rows:
-        mix = wav_read(row["mixture_path"])
-        srcs = [wav_read(p) for p in row["source_paths"]]
+        mix = wav_read_pcm(row["mixture_path"])
+        srcs = [wav_read_pcm(p) for p in row["source_paths"]]
         corpus.append({"mix": mix, "sources": srcs, "C": len(srcs)})
     return corpus
 
 
 def _utterance_mags(item: dict, frames: tuple | None = None) -> tuple:
-    """Magnitude spectrograms (mix F x T, sources C x F x T) of a whole
-    utterance, or of its ``frames = (start, length)``.  A chunk transforms
-    only the samples under its frames, which gives bitwise the columns of
-    the whole utterance's spectrogram."""
-    def mag(w: Waveform) -> np.ndarray:
+    """Magnitude spectrograms (mix F x T, sources C x F x T) of a corpus
+    item's whole utterance, or of its ``frames = (start, length)``.  A
+    chunk converts and transforms only the PCM samples under its frames,
+    which gives bitwise the columns of the whole utterance's spectrogram."""
+    def mag(pcm: np.ndarray) -> np.ndarray:
         if frames is not None:
             start, length = frames
-            w = Waveform(w.samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN])
-        return np.abs(stft(w))
+            pcm = pcm[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
+        return np.abs(stft(pcm_waveform(pcm)))
 
     return mag(item["mix"]), np.stack([mag(s) for s in item["sources"]])
 
@@ -208,8 +209,9 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
     for item in corpus:
         if item["C"] != slots:
             continue
-        _, v, w = embed_mixture(net, item["mix"], settings.q)
-        y = ibm(np.stack([flatten_tf(np.abs(stft(s))) for s in item["sources"]]))
+        _, v, w = embed_mixture(net, pcm_waveform(item["mix"]), settings.q)
+        y = ibm(np.stack([flatten_tf(np.abs(stft(pcm_waveform(s))))
+                          for s in item["sources"]]))
         try:
             sets.append(form_attractors(v, y, w))
         except ValueError:
@@ -278,6 +280,8 @@ def train(
     the checkpoint at ``ckpt_path`` is loaded instead, and the log file is
     appended.  Returns the final checkpoint (best parameters included).
     """
+    if not (0 < settings.q <= 1):
+        raise ValueError(f"TrainSettings.q must lie in (0, 1], got {settings.q!r}")
     train_corpus = load_corpus(train_rows)
     val_corpus = load_corpus(val_rows)
     if not train_corpus or not val_corpus:

@@ -12,7 +12,10 @@ import numpy as np
 
 from .dsp import SAMPLE_RATE, Waveform
 
-__all__ = ["wav_write", "wav_read"]
+__all__ = ["wav_write", "wav_read", "wav_read_pcm", "pcm_waveform"]
+
+# 2**15: the int16 sample k reads as k / 2**15, in [-1, 1).
+_PCM_SCALE = 32768.0
 
 
 def wav_write(w: Waveform, path) -> None:
@@ -27,7 +30,7 @@ def wav_write(w: Waveform, path) -> None:
     if n_clipped:
         warnings.warn(f"{n_clipped} samples clipped to [-1, 1] writing {path}")
         x = np.clip(x, -1.0, 1.0)
-    q = np.sign(x) * np.floor(np.abs(x) * 32768.0 + 0.5)
+    q = np.sign(x) * np.floor(np.abs(x) * _PCM_SCALE + 0.5)
     pcm = np.clip(q, -32768, 32767).astype("<i2")
     payload = pcm.tobytes()
     header = struct.pack(
@@ -50,8 +53,21 @@ def wav_write(w: Waveform, path) -> None:
         fh.write(header + payload)
 
 
+def pcm_waveform(pcm: np.ndarray) -> Waveform:
+    """The waveform of 16-bit PCM samples, each divided by 2**15.  The
+    conversion to float64 and the division are exact."""
+    return Waveform(pcm / _PCM_SCALE)
+
+
 def wav_read(path) -> Waveform:
-    """Read a mono 16-bit 8 kHz PCM WAV file.
+    """Read a mono 16-bit 8 kHz PCM WAV file as a waveform in [-1, 1):
+    the samples of :func:`wav_read_pcm` divided by 2**15."""
+    return pcm_waveform(wav_read_pcm(path))
+
+
+def wav_read_pcm(path) -> np.ndarray:
+    """Read the int16 samples of a mono 16-bit 8 kHz PCM WAV file, 2 bytes
+    a sample, as a read-only array.
 
     Unknown chunks are skipped; format violations raise ValueError with
     the offending field named.
@@ -96,5 +112,4 @@ def wav_read(path) -> Waveform:
     if not payload or len(payload) % 2:
         raise ValueError(
             f"{path}: data chunk holds {len(payload)} bytes, not whole 16-bit samples")
-    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples)
+    return np.frombuffer(payload, dtype="<i2")

@@ -30,6 +30,118 @@ MALFORMED_ROWS = [
 ]
 
 
+# `danet <command> --help` at 80 columns, pinned byte for byte
+HELP = {
+    "gen": """\
+usage: danet gen [-h] [--seed SEED] [--config CONFIG] [--out OUT]
+                 [--mixtures MIXTURES] [--speakers SPEAKERS] [--split SPLIT]
+                 [--all] [--duration DURATION]
+
+options:
+  -h, --help           show this help message and exit
+  --seed SEED          random seed
+  --config CONFIG      key=value config file; flags override it
+  --out OUT            output directory (required)
+  --mixtures MIXTURES  mixtures to generate
+  --speakers SPEAKERS  source count per mixture, e.g. 2 or 2,3
+  --split SPLIT        split name: train|validation|test
+  --all                generate the standard train/validation/test corpus
+  --duration DURATION  utterance length in seconds
+""",
+    "train": """\
+usage: danet train [-h] [--seed SEED] [--config CONFIG] [--data DATA]
+                   [--out OUT] [--log LOG] [--model MODEL] [--anchors ANCHORS]
+                   [--slots SLOTS] [--epochs-short EPOCHS_SHORT]
+                   [--epochs-long EPOCHS_LONG] [--chunk-short CHUNK_SHORT]
+                   [--chunk-long CHUNK_LONG] [--lr LR] [--lr-long LR_LONG]
+                   [--q Q] [--context CONTEXT] [--hidden HIDDEN]
+                   [--embed-dim EMBED_DIM] [--mask-nl MASK_NL] [--resume]
+                   [--stop-after STOP_AFTER]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           random seed
+  --config CONFIG       key=value config file; flags override it
+  --data DATA           corpus directory with train/ and validation/
+                        (required)
+  --out OUT             checkpoint output path (required)
+  --log LOG             loss log CSV path (default: <out>.log.csv)
+  --model MODEL         danet | adanet
+  --anchors ANCHORS     anchor count (adanet)
+  --slots SLOTS         adanet output slots (default: max C in data)
+  --epochs-short EPOCHS_SHORT
+                        epoch cap for the short-chunk phase
+  --epochs-long EPOCHS_LONG
+                        epoch cap for the long-chunk phase
+  --chunk-short CHUNK_SHORT
+                        short-phase chunk length in frames
+  --chunk-long CHUNK_LONG
+                        long-phase chunk length in frames
+  --lr LR               initial learning rate
+  --lr-long LR_LONG     learning rate restart for the long phase
+  --q Q                 salience threshold keep fraction
+  --context CONTEXT     context frames on each side
+  --hidden HIDDEN       hidden layer sizes
+  --embed-dim EMBED_DIM
+                        embedding dimension
+  --mask-nl MASK_NL     mask nonlinearity: softmax | sigmoid
+  --resume              resume from the checkpoint at --out
+  --stop-after STOP_AFTER
+                        stop cleanly after N total epochs
+""",
+    "separate": """\
+usage: danet separate [-h] [--seed SEED] [--config CONFIG]
+                      [--checkpoint CHECKPOINT] [--input INPUT] [--out OUT]
+                      [--speakers SPEAKERS] [--strategy STRATEGY] [--q Q]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           random seed
+  --config CONFIG       key=value config file; flags override it
+  --checkpoint CHECKPOINT
+                        model checkpoint (required)
+  --input INPUT         mixture WAV (required)
+  --out OUT             output directory
+  --speakers SPEAKERS   source count, or 'auto' (anchored only)
+  --strategy STRATEGY   kmeans | fixed | anchored
+  --q Q                 salience threshold keep fraction
+""",
+    "evaluate": """\
+usage: danet evaluate [-h] [--seed SEED] [--config CONFIG]
+                      [--checkpoint CHECKPOINT] [--data DATA] [--out OUT]
+                      [--strategy STRATEGY] [--oracle ORACLE] [--q Q]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           random seed
+  --config CONFIG       key=value config file; flags override it
+  --checkpoint CHECKPOINT
+                        model checkpoint (needed unless --oracle)
+  --data DATA           test split directory with index.jsonl (required)
+  --out OUT             per-mixture scores CSV (required)
+  --strategy STRATEGY   kmeans | fixed | anchored
+  --oracle ORACLE       score ideal masks instead: wfm | irm | ibm | mix
+  --q Q                 salience threshold keep fraction
+""",
+    "diagnose": """\
+usage: danet diagnose [-h] [--seed SEED] [--config CONFIG]
+                      [--checkpoint CHECKPOINT] [--input INPUT] [--refs REFS]
+                      [--out OUT] [--q Q]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           random seed
+  --config CONFIG       key=value config file; flags override it
+  --checkpoint CHECKPOINT
+                        model checkpoint (required)
+  --input INPUT         mixture WAV (required)
+  --refs REFS           comma-separated reference WAVs (required)
+  --out OUT             embedding diagnostics CSV (required)
+  --q Q                 salience threshold keep fraction
+""",
+}
+
+
 def rewrite_header(src, dst, edit):
     """Copy a checkpoint, passing its JSON header through ``edit``."""
     blob = src.read_bytes()
@@ -519,6 +631,37 @@ class TestDiagnose:
 class TestTopLevel:
     def test_no_command_exits_one(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_command_help_unchanged(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 1
+        assert ("invalid choice: 'bogus' (choose from 'gen', 'train', 'separate', "
+                "'evaluate', 'diagnose')") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{d}/missing", "--out", "{d}/m.ckpt", "--q", "0"],
+        ["separate", "--checkpoint", "{d}/m.ckpt", "--input", "{d}/m.wav",
+         "--out", "{d}/out", "--q", "1.5"],
+        ["evaluate", "--checkpoint", "{d}/m.ckpt", "--data", "{d}/missing",
+         "--out", "{d}/x.csv", "--q", "nan"],
+        ["diagnose", "--checkpoint", "{d}/m.ckpt", "--input", "{d}/m.wav",
+         "--refs", "{d}/r.wav", "--out", "{d}/d.csv", "--q", "-0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_q_outside_unit_interval_before_any_io(self, tmp_path, capsys, argv):
+        # no input exists: reading any would exit 2, not 1
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "--q must lie in (0, 1]" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_top_level_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,15 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import danet.checkpoint as checkpoint_module
 from danet.checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from danet.dsp import Waveform
-from danet.nn import EmbedNetConfig
+from danet.nn import AdamState, EmbedNet, EmbedNetConfig
 from danet.training import train_step
-from danet.wavio import wav_read, wav_write
+from danet.wavio import wav_read, wav_read_pcm, wav_write
 
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
@@ -132,9 +132,24 @@ class TestWavRead:
         bad = tmp_path / "damaged.wav"
         bad.write_bytes(bytes(blob))
         try:
-            wav_read(bad)
+            pcm = wav_read_pcm(bad)
         except ValueError:
-            pass
+            with pytest.raises(ValueError):
+                wav_read(bad)
+        else:
+            assert wav_read(bad).samples.tobytes() == (pcm / 32768.0).tobytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pcm=st.lists(st.integers(-32768, 32767), min_size=1, max_size=400))
+    @example(pcm=[-32768, 32767, 0, -1, 1])
+    def test_read_is_pcm_over_two_to_the_fifteen(self, tmp_path, pcm):
+        pcm = np.array(pcm, dtype=np.int16)
+        path = tmp_path / "pcm.wav"
+        wav_write(Waveform(pcm / 32768.0), path)
+        got = wav_read_pcm(path)
+        assert got.dtype == np.int16 and got.tobytes() == pcm.tobytes()
+        assert wav_read(path).samples.tobytes() == (got / 32768.0).tobytes()
 
 
 def make_checkpoint(seed=0) -> Checkpoint:
@@ -189,6 +204,30 @@ class TestCheckpoint:
         assert loaded.epoch == ckpt.epoch
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.trainer == ckpt.trainer
+
+    @pytest.mark.parametrize("n_anchors", [0, 3], ids=["danet", "adanet"])
+    def test_file_is_header_then_each_array_from_its_buffer(self, tmp_path,
+                                                             n_anchors):
+        net = EmbedNet(TINY, seed=0, n_anchors=n_anchors)
+        opt = AdamState(step=2, m={"w0": np.ones_like(net.params["w0"].data)})
+        best = {name: p.data * 0.5 for name, p in net.params.items()}
+        # a transposed (non-contiguous) table is stored in C order
+        table = (np.arange(12.0).reshape(4, 3).T if n_anchors == 0 else None)
+        ckpt = Checkpoint.of_training("adanet" if n_anchors else "danet", 2, net,
+                                      opt, best, 0.5, 3, {"phase": 1}, table)
+        path = tmp_path / "m.ckpt"
+        checkpoint_save(ckpt, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        header_bytes = blob[16 : 16 + header_len]
+        names = sorted(ckpt.arrays)
+        payloads = [np.ascontiguousarray(ckpt.arrays[n], dtype="<f8").tobytes()
+                    for n in names]
+        offsets = np.cumsum([0] + [len(b) for b in payloads[:-1]]).tolist()
+        manifest = json.loads(header_bytes)["arrays"]
+        assert [(e["name"], e["offset"]) for e in manifest] == list(zip(names, offsets))
+        assert blob == (b"DANCKPT\0" + struct.pack("<II", 1, header_len)
+                        + header_bytes + b"".join(payloads))
 
     def test_tampered_shape_rejected(self, tmp_path):
         ckpt = make_checkpoint(2)

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
-from danet.dsp import HOP, WINDOW_LEN, Waveform, n_frames, stft
+from danet.dsp import HOP, WINDOW_LEN, n_frames, stft
 from danet.nn import EmbedNetConfig
 from danet.training import (
     TrainerState,
     TrainSettings,
     TrainingDiverged,
     _utterance_mags,
+    load_corpus,
     train,
 )
+from danet.wavio import pcm_waveform, wav_read
 
 MICRO = dict(
     chunk_short=40,
@@ -275,6 +277,29 @@ class TestTraining:
             train([], [], TrainSettings(**MICRO), tmp_path / "x.ckpt",
                   tmp_path / "x.log")
 
+    @pytest.mark.parametrize("q", [0.0, 1.5, -0.1, float("nan")])
+    def test_q_outside_unit_interval_rejected_before_any_io(self, tmp_path, q):
+        # the rows name no file: reading the corpus would raise OSError
+        rows = [{"mixture_path": tmp_path / "missing.wav",
+                 "source_paths": [tmp_path / "missing_s0.wav"]}]
+        with pytest.raises(ValueError, match=r"TrainSettings\.q"):
+            train(rows, rows, TrainSettings(**MICRO, q=q), tmp_path / "x.ckpt",
+                  tmp_path / "x.log")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLoadCorpus:
+    def test_holds_int16_pcm_of_the_files(self, micro_corpus):
+        rows = micro_corpus["train"]
+        corpus = load_corpus(rows)
+        assert [item["C"] for item in corpus] == [len(r["source_paths"]) for r in rows]
+        for row, item in zip(rows, corpus):
+            paths = [row["mixture_path"], *row["source_paths"]]
+            for path, pcm in zip(paths, [item["mix"], *item["sources"]]):
+                assert pcm.dtype == np.int16 and pcm.itemsize == 2
+                assert (pcm_waveform(pcm).samples.tobytes()
+                        == wav_read(path).samples.tobytes())
+
 
 class TestChunkSpectrogram:
     @settings(max_examples=60, deadline=None)
@@ -284,13 +309,13 @@ class TestChunkSpectrogram:
         start = data.draw(st.integers(0, frames - 1), label="start")
         length = data.draw(st.integers(1, frames - start), label="length")
         rng = np.random.default_rng(n)
-        item = {"mix": Waveform(rng.uniform(-1.0, 1.0, n)),
-                "sources": [Waveform(rng.uniform(-0.5, 0.5, n))
+        item = {"mix": rng.integers(-32768, 32768, n, dtype=np.int16),
+                "sources": [rng.integers(-16384, 16384, n, dtype=np.int16)
                             for _ in range(2)]}
         cols = slice(start, start + length)
-        samples = item["mix"].samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
-        np.testing.assert_array_equal(stft(Waveform(samples)),
-                                      stft(item["mix"])[:, cols])
+        samples = item["mix"][start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
+        np.testing.assert_array_equal(stft(pcm_waveform(samples)),
+                                      stft(pcm_waveform(item["mix"]))[:, cols])
         mix, src = _utterance_mags(item)
         mix_chunk, src_chunk = _utterance_mags(item, (start, length))
         np.testing.assert_array_equal(mix_chunk, mix[:, cols])
