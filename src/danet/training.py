@@ -9,6 +9,8 @@ optimizer and scheduler state, so an interrupted run resumed from disk
 retraces the uninterrupted trajectory bit for bit.
 """
 
+import ctypes
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -55,6 +57,25 @@ _PATIENCE_STOP = 10
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; message records the step."""
+
+
+# glibc's malloc_trim, or None on a C library without it.  Looked up once:
+# every ctypes.CDLL builds a class, and with it reference cycles.
+_MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if sys.platform.startswith("linux") else None)
+
+
+def _release_freed_memory() -> None:
+    """Return the heap pages freed by a training run to the OS.
+
+    glibc keeps freed heap memory resident: after a run, some 75 MB of
+    step working set on the benchmark's corpora.  A caller's next large
+    buffers then either fit its holes or add to it, so the process's peak
+    moved by 13 MB from one identical run to the next.  malloc_trim drops
+    those pages; on a C library without it this does nothing.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 @dataclass
@@ -379,4 +400,7 @@ def train(
     if settings.model == "danet":
         best_net = EmbedNet.from_arrays(net.config, best, net.n_anchors)
         fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, slots)
-    return save(fixed_table)
+    saved = save(fixed_table)
+    del train_corpus, val_corpus  # freed first, so the trim takes their pages too
+    _release_freed_memory()
+    return saved
