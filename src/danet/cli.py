@@ -303,10 +303,31 @@ def cmd_separate(opts) -> int:
     return 0
 
 
+def _score(opts, net, strategy, mixture, refs):
+    """Separate one mixture (or apply an oracle) and score it against refs."""
+    c = len(refs)
+    if opts["oracle"] == "mix":
+        estimates = [mixture] * c
+    elif opts["oracle"] is not None:
+        spec = stft(mixture)
+        src_flat = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
+        oracle_masks = {"wfm": wfm, "irm": irm, "ibm": ibm}[opts["oracle"]](src_flat)
+        estimates = reconstruct(oracle_masks, spec)
+    else:
+        estimates = separate(net, mixture, c, strategy, q=opts["q"])
+    n = len(estimates[0])
+    return score_with_permutation(
+        estimates,
+        [r.samples[:n] for r in refs],
+        mixture.samples[:n],
+    )
+
+
 def cmd_evaluate(opts) -> int:
     _require(opts, "data", "out")
     _check_strategy(opts["strategy"])
     _check_q(opts["q"])
+    net = strategy = None
     if opts["oracle"] is None:
         _require(opts, "checkpoint")
         ckpt, net = _load_net(opts)
@@ -316,6 +337,7 @@ def cmd_evaluate(opts) -> int:
     rows = load_index(Path(opts["data"]) / "index.jsonl")
     results = []
     missing = []
+    refused = []
     for row in rows:
         try:
             mixture = wav_read(row["mixture_path"])
@@ -323,31 +345,24 @@ def cmd_evaluate(opts) -> int:
         except (OSError, ValueError) as exc:
             missing.append(str(exc))
             continue
-        c = len(refs)
-        if opts["oracle"] == "mix":
-            estimates = [mixture] * c
-        elif opts["oracle"] is not None:
-            spec = stft(mixture)
-            src_flat = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
-            oracle_masks = {"wfm": wfm, "irm": irm, "ibm": ibm}[opts["oracle"]](src_flat)
-            estimates = reconstruct(oracle_masks, spec)
-        else:
-            estimates = separate(net, mixture, c, strategy, q=opts["q"])
-        n = len(estimates[0])
-        report = score_with_permutation(
-            estimates,
-            [r.samples[:n] for r in refs],
-            mixture.samples[:n],
-        )
-        results.append((row["mixture_path"].name, c, report))
-    if missing:
-        print(f"skipped {len(missing)} mixtures with missing/unreadable files:",
-              file=sys.stderr)
-        for msg in missing:
-            print(f"  {msg}", file=sys.stderr)
+        # one mixture the separator or the scorer refuses (say, a silent
+        # reference) is left out; the rest are still scored
+        try:
+            report = _score(opts, net, strategy, mixture, refs)
+        except ValueError as exc:
+            refused.append(f"{row['mixture_path'].name}: {exc}")
+            continue
+        results.append((row["mixture_path"].name, len(refs), report))
+    for skipped, why in ((missing, "with missing/unreadable files"),
+                         (refused, "that could not be separated or scored")):
+        if skipped:
+            print(f"skipped {len(skipped)} mixtures {why}:", file=sys.stderr)
+            for msg in skipped:
+                print(f"  {msg}", file=sys.stderr)
     if not results:
-        raise RuntimeError(f"no mixture was scored: none of the {len(rows)} "
-                           f"rows of the index could be read")
+        raise RuntimeError(f"no mixture was scored: of the {len(rows)} rows of "
+                           f"the index, {len(missing)} could not be read and "
+                           f"{len(refused)} were refused")
     with open(opts["out"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mixture", "C", "si_snr_db", "si_snri_db", "snr_db",

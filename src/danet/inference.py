@@ -54,24 +54,26 @@ class KMeansResult:
     history: list             # inertia after each assignment pass
 
 
-def _column_min(d: np.ndarray) -> tuple:
-    """Row index and value of the minimum of each column of a C x n array.
+def _nearest(d: np.ndarray, label: np.ndarray, least: np.ndarray) -> None:
+    """Write the row index and value of each column's minimum of a C x n array.
 
     Equal to ``d.argmin(axis=0)`` and ``d.min(axis=0)`` on finite input,
-    the first row winning ties, but several times faster for small C.
+    the first row winning ties.  At C = 2 that is one comparison and one
+    minimum, written straight into ``label`` and ``least``.
     """
-    index = np.zeros(d.shape[1], dtype=np.intp)
-    least = d[0].copy()
-    for k in range(1, d.shape[0]):
-        index[d[k] < least] = k
+    second = d[min(1, len(d) - 1)]  # C = 1 compares row 0 with itself
+    np.less(second, d[0], out=label)
+    np.minimum(d[0], second, out=least)
+    for k in range(2, len(d)):
+        label[d[k] < least] = k
         np.minimum(least, d[k], out=least)
-    return index, least
 
 
 # Bytes of retained points one Lloyd pass reads at a time.  A block of
-# columns stays in a 2 MB L2 cache while its distances, labels and
-# cluster sums are formed, so each pass streams the points from memory
-# once.
+# columns stays in a 2 MB L2 cache while its distances and labels (and,
+# in the first pass, its cluster sums) are formed, so each pass streams
+# the points from memory once, and then reads again only the few whose
+# label changed.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -83,27 +85,34 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     change drops below 1e-6 or after 100 iterations; empty clusters are
     re-seeded to the point farthest from its assigned center.
     Squared distances use the expanded form |p|^2 - 2 c.p + |c|^2, one
-    matrix product per block of points, clamped at 0 against rounding
-    below zero.  Each pass labels a block and adds its cluster counts and
-    sums before it moves on to the next.
+    matrix product with -2c per block of points, clamped at 0 against
+    rounding below zero.  The cluster sums and counts are carried from
+    pass to pass: the first pass adds every point, a block at a time, and
+    each later pass moves only the points whose label changed, in one
+    small product.
     """
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w).reshape(-1)
     if w.size != v.shape[1]:
         raise ValueError(f"w has {w.size} entries for {v.shape[1]} bins")
-    points = np.compress(w > 0, v, axis=1)  # K x n, contiguous
+    keep = w > 0
+    fresh = ~keep                         # bins the loop does not label
+    points = np.compress(keep, v, axis=1)  # K x n, contiguous
     k, n = points.shape
     if n < c:
         raise ValueError(f"only {n} retained bins for C={c} clusters")
     sq_norms = np.einsum("kn,kn->n", points, points)
     rng = np.random.default_rng(seed)
 
-    def sq_dists(centers: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def scaled(centers: np.ndarray) -> tuple:
+        """-2 c (exact: a power of two) and |c|^2 as a column."""
+        return -2.0 * centers, np.einsum("ck,ck->c", centers, centers)[:, None]
+
+    def sq_dists(minus_twice, sq_centers, cols=slice(None)) -> np.ndarray:
         """Squared distances, centers (C,K) x points[:, cols] -> (C,cols)."""
-        d2 = centers @ points[:, cols]
-        d2 *= -2.0
+        d2 = minus_twice @ points[:, cols]
         d2 += sq_norms[cols]
-        d2 += np.einsum("ck,ck->c", centers, centers)[:, None]
+        d2 += sq_centers
         return np.maximum(d2, 0.0, out=d2)
 
     # k-means++ seeding: each centre is drawn by its squared distance to
@@ -112,7 +121,7 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     centers[0] = points[:, rng.integers(n)]
     closest = np.full(n, np.inf)
     for j in range(1, c):
-        np.minimum(closest, sq_dists(centers[j - 1 : j])[0], out=closest)
+        np.minimum(closest, sq_dists(*scaled(centers[j - 1 : j]))[0], out=closest)
         total = closest.sum()
         if total > 0:
             probs = closest / total
@@ -124,16 +133,30 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
     prev = None
     width = max(1, _BLOCK_BYTES // (8 * k))
     cluster_ids = np.arange(c)[:, None]
+    labels = np.empty(n, dtype=np.min_scalar_type(c))
+    before = np.empty_like(labels)        # the labels of the last pass
     assigned = np.empty(n)                # squared distance to own centre
+    counts = np.zeros(c)
+    sums = np.zeros((c, k))
     for _ in range(100):
-        counts = np.zeros(c)
-        sums = np.zeros((c, k))
+        labels, before = before, labels
+        minus_twice, sq_centers = scaled(centers)
         for start in range(0, n, width):
             cols = slice(start, start + width)
-            labels, assigned[cols] = _column_min(sq_dists(centers, cols))
-            members = (labels == cluster_ids).astype(np.float64)  # C x block one-hot
-            counts += members.sum(axis=1)
-            sums += members @ points[:, cols].T
+            label = labels[cols]
+            _nearest(sq_dists(minus_twice, sq_centers, cols), label, assigned[cols])
+            if not history:               # the first pass adds every point
+                members = (label == cluster_ids).astype(np.float64)
+                counts += members.sum(axis=1)
+                sums += members @ points[:, cols].T
+        if history:
+            # later passes move the points whose label changed: +1 in the
+            # row of the new cluster, -1 in the row of the old
+            moved = np.flatnonzero(labels != before)
+            change = (labels[moved] == cluster_ids).astype(np.float64)
+            change -= before[moved] == cluster_ids
+            counts += change.sum(axis=1)
+            sums += change @ points.take(moved, axis=1).T
         inertia = float(assigned.sum())
         history.append(inertia)
         if inertia == 0.0:
@@ -142,13 +165,22 @@ def kmeans(v: np.ndarray, c: int, w: np.ndarray, seed: int = 0) -> KMeansResult:
             break
         prev = inertia
         filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
+        np.divide(sums, counts[:, None], out=centers, where=filled[:, None])
         if not filled.all():
+            sums[~filled] = 0.0           # not the rounding its moves left
             centers[~filled] = points[:, int(assigned.argmax())]
+    else:
+        # the centres moved after the last labels: relabel every bin
+        fresh = np.ones_like(keep)
 
-    # |p|^2 is the same for every center, so it cannot change the argmin.
-    near = np.einsum("ck,ck->c", centers, centers)[:, None] - 2.0 * (centers @ v)
-    return KMeansResult(centers, _column_min(near)[0], history[-1], history)
+    # Stopped by the rule, the loop labelled the retained bins with the
+    # final centres.  |p|^2 is the same for every center, so it cannot
+    # change the argmin.
+    out = np.empty(v.shape[1], dtype=np.intp)
+    out[keep] = labels
+    near = np.einsum("ck,ck->c", centers, centers)[:, None] - 2.0 * (centers @ v[:, fresh])
+    out[fresh] = near.argmin(axis=0)
+    return KMeansResult(centers, out, history[-1], history)
 
 
 def fixed_attractors(training_attractors: list) -> np.ndarray:

@@ -12,7 +12,7 @@ from danet.cli import main
 from danet.data import load_index
 from danet.dsp import Waveform, istft, stft
 from danet.training import TrainSettings
-from danet.wavio import wav_read
+from danet.wavio import wav_read, wav_write
 
 MICRO_TRAIN = [
     "--chunk-short", "40", "--chunk-long", "80",
@@ -185,6 +185,24 @@ def trained_adanet(corpus, tmp_path_factory):
         "--model", "adanet", "--anchors", "6", *MICRO_TRAIN,
     ]) == 0
     return ckpt
+
+
+@pytest.fixture(scope="module")
+def trained_mixed(tmp_path_factory):
+    """A DANet trained on 2- and 3-speaker mixtures, and that corpus."""
+    root = tmp_path_factory.mktemp("cli_mixed")
+    for split, n in [("train", 8), ("validation", 4), ("test", 6)]:
+        assert main([
+            "gen", "--out", str(root / split), "--split", split,
+            "--mixtures", str(n), "--speakers", "2,3", "--seed", "1",
+            "--duration", "0.5",
+        ]) == 0
+    ckpt = root / "model.ckpt"
+    assert main([
+        "train", "--data", str(root), "--out", str(ckpt), "--seed", "0",
+        *MICRO_TRAIN,
+    ]) == 0
+    return root, ckpt
 
 
 class TestGen:
@@ -568,6 +586,55 @@ class TestEvaluate:
             ]) == 1
             err = capsys.readouterr().err
             assert "unknown strategy 'bogus'" in err and "Traceback" not in err
+
+    def test_silent_source_skipped_not_fatal(self, corpus, trained, tmp_path,
+                                            capsys):
+        # a reference that is zero after mean removal cannot be scored;
+        # that one mixture is left out and the others are scored
+        data = tmp_path / "silent"
+        data.mkdir()
+        for f in (corpus / "test").iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        third = json.loads((data / "index.jsonl").read_text().splitlines()[2])
+        wav_write(Waveform(np.zeros(4000)), data / third["source_paths"][1])
+        out = tmp_path / "silent.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(trained), "--data", str(data),
+            "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            names = [r["mixture"] for r in csv.DictReader(fh)]
+        assert len(names) == 3 and third["mixture_path"] not in names
+        err = capsys.readouterr().err
+        assert "skipped 1 mixtures that could not be separated or scored" in err
+        assert f"{third['mixture_path']}: reference is zero" in err
+        assert "Traceback" not in err
+
+    def test_fixed_table_of_other_c_skipped_not_fatal(self, trained_mixed,
+                                                      tmp_path, capsys):
+        # the fixed table has one row per source of the largest training
+        # mixture, so the 2-speaker mixtures are refused and the
+        # 3-speaker ones scored
+        root, ckpt = trained_mixed
+        rows = load_index(root / "test" / "index.jsonl")
+        counts = [len(r["source_paths"]) for r in rows]
+        assert 2 in counts and 3 in counts
+        out = tmp_path / "fixed.csv"
+        assert main([
+            "evaluate", "--checkpoint", str(ckpt), "--data", str(root / "test"),
+            "--out", str(out), "--strategy", "fixed",
+        ]) == 0
+        with open(out) as fh:
+            scored = [(r["mixture"], r["C"]) for r in csv.DictReader(fh)]
+        assert scored == [(r["mixture_path"].name, "3") for r in rows
+                          if len(r["source_paths"]) == 3]
+        err = capsys.readouterr().err
+        assert f"skipped {counts.count(2)} mixtures that could not" in err
+        for r in rows:
+            if len(r["source_paths"]) == 2:
+                assert (f"{r['mixture_path'].name}: fixed attractor table has 3 rows"
+                        in err)
+        assert "Traceback" not in err
 
     def test_nothing_scored_exits_two(self, corpus, trained, tmp_path, capsys):
         empty = tmp_path / "empty"

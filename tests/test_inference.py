@@ -195,19 +195,37 @@ class TestKmeansMatchesReference:
         assert len(result.history) == len(expected.history)
 
     def test_several_real_size_blocks_match_reference(self):
-        # 20-dim points take 6,553 columns a block: 3 whole blocks and a part
+        # 20-dim points take 6,553 columns a block: 3 whole blocks and a
+        # part.  C = 2 is the benchmark's case: many passes, and labels
+        # that keep changing in several blocks while the sums are carried.
         assert inference._BLOCK_BYTES // (8 * 20) == 6553
-        rng = np.random.default_rng(15)
-        v = np.tanh(rng.standard_normal((20, 3))[:, rng.integers(0, 3, 22000)]
-                    + 0.8 * rng.standard_normal((20, 22000)))
-        w = (rng.uniform(size=22000) < 0.9).astype(float)
-        assert 3 * 6553 < w.sum() < 4 * 6553
-        result = kmeans(v, 3, w, seed=2)
-        expected, _ = reference_kmeans(v, 3, w, seed=2)
-        assert len(result.history) > 2
+        for c in (2, 3):
+            rng = np.random.default_rng(15)
+            v = np.tanh(rng.standard_normal((20, c))[:, rng.integers(0, c, 22000)]
+                        + 0.8 * rng.standard_normal((20, 22000)))
+            w = (rng.uniform(size=22000) < 0.9).astype(float)
+            assert 3 * 6553 < w.sum() < 4 * 6553
+            result = kmeans(v, c, w, seed=2)
+            expected, _ = reference_kmeans(v, c, w, seed=2)
+            assert len(result.history) > 2
+            np.testing.assert_array_equal(result.labels, expected.labels)
+            np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+            assert len(result.history) == len(expected.history)
+
+    def test_tied_points_take_the_first_centre(self):
+        # The fit ends with centres (-2, 0) and (2, 0), and the bins on
+        # x = 0 lie exactly as far from both (integer data, so the
+        # expanded form is exact).  They take label 0, retained or not,
+        # and the retained one adds its distance, 4, to the inertia.
+        v = np.array([[-3.0, -3, 0, 2, 2, 0], [0, 0, 0, 0, 0, 5]])
+        w = np.array([1, 1, 1, 1, 1, 0])
+        result = kmeans(v, 2, w, seed=1)
+        expected, _ = reference_kmeans(v, 2, w, seed=1)
+        np.testing.assert_array_equal(result.centers, [[-2.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(result.labels, [0, 0, 0, 1, 1, 0])
         np.testing.assert_array_equal(result.labels, expected.labels)
-        np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
-        assert len(result.history) == len(expected.history)
+        assert result.inertia == 1 + 1 + 4 + 0 + 0
+        assert result.history == expected.history
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -273,6 +291,22 @@ class TestKmeansMatchesReference:
         np.testing.assert_array_equal(result.labels, expected.labels)
         np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
         assert result.history == pytest.approx(expected.history, rel=1e-12)
+
+    def test_cluster_empties_after_sums_were_carried(self):
+        # Twelve 2-D points where one of five clusters empties on the
+        # second pass, after the first pass's sums were corrected for the
+        # points that moved, and is reseeded; three more passes follow.
+        v = np.array([[5.0, -3, -1, -1, -5, 5, 3, -4, -6, 1, 4, -5],
+                      [-4, 2, 1, 4, 3, -3, 3, 5, 3, 6, -3, -3]])
+        w = np.ones(12)
+        expected, reseeded = reference_kmeans(v, 5, w, seed=0)
+        assert reseeded == 1 and len(expected.history) == 5
+        for width in (1, 5, 12):
+            with mock.patch.object(inference, "_BLOCK_BYTES", width * 8 * 2):
+                result = kmeans(v, 5, w, seed=0)
+            np.testing.assert_array_equal(result.labels, expected.labels)
+            np.testing.assert_allclose(result.centers, expected.centers, rtol=0, atol=1e-12)
+            assert result.history == pytest.approx(expected.history, rel=1e-12)
 
     def test_near_duplicates_far_from_origin(self):
         # |p|^2 ~ 4e6 rounds at ~1e-9, more than the within-cluster squared

@@ -5,6 +5,7 @@ rename or a changed return value in ``src/`` breaks it without breaking
 any other test.  Its self-check runs every workload at tiny sizes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,21 @@ def test_every_traced_span_names_a_package_function():
     unresolved = [name for name, (module, path) in tracer.SPANS.items()
                   if tracer._resolve(module, path) is None]
     assert unresolved == []
+
+
+def test_bench_records_are_complete():
+    """Every ``BENCH_<n>.json`` at the root parses, holds its pairs, and
+    names the machine, numpy, the BLAS build and the BLAS thread count
+    its numbers were measured at."""
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert "pairs" in record, path.name
+        machine = record.get("machine", {})
+        missing = [key for key in ("cpu", "numpy", "blas", "blas_threads")
+                   if not machine.get(key)]
+        assert missing == [], f"{path.name} machine block lacks {missing}"
 
 
 @pytest.mark.slow
