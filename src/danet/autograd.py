@@ -2,10 +2,13 @@
 
 A :class:`Tensor` wraps an ndarray and records the operations applied to
 it; calling ``backward()`` on a scalar result walks the recorded graph in
-reverse topological order and accumulates gradients on every tensor with
-``requires_grad=True``.  Only the handful of operations the separation
-pipeline needs are implemented; every backward rule is covered by a
-finite-difference test.
+reverse topological order and accumulates gradients on the leaves, the
+tensors created with ``requires_grad=True``.  Every other node drops its
+gradient, its backward rule and its parents once it has passed its
+gradient on, so the sweep frees the tape as it goes: afterwards only the
+leaves hold gradients, and a graph can be swept once.  Only the handful
+of operations the separation pipeline needs are implemented; every
+backward rule is covered by a finite-difference test.
 
 ``__array_ufunc__`` is disabled so that mixed expressions like
 ``ndarray - Tensor`` dispatch to the Tensor's reflected operators instead
@@ -244,13 +247,13 @@ class Tensor:
     # -- backward pass ---------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep from a scalar; may be called once per graph."""
+        """Reverse-mode sweep from a scalar; may be called once per graph.
+
+        Gradients land on the leaves; each other node is released as soon
+        as it has passed its gradient on (see the module docstring).
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        if self._done:
-            raise RuntimeError(
-                "backward() already called on this graph; rebuild it first"
-            )
         order = []
         visited = set()
         stack = [(self, False)]
@@ -259,6 +262,10 @@ class Tensor:
             if expanded:
                 order.append(node)
                 continue
+            if node._done:
+                raise RuntimeError(
+                    "backward() already called on this graph; rebuild it first"
+                )
             if id(node) in visited:
                 continue
             visited.add(id(node))
@@ -267,10 +274,18 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node)
-        self._done = True
+            # passed on: drop the gradient and the tape behind this node, so
+            # each node's arrays go as soon as the sweep is past its users
+            node.grad = None
+            node._backward = None
+            node._parents = ()
+            node._done = True
 
 
 def as_tensor(value) -> Tensor:

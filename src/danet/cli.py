@@ -383,6 +383,7 @@ def cmd_evaluate(opts) -> int:
         writer.writerow(["metric", "mean", "median"])
         writer.writerow(["si_snr_db", f"{np.mean(snrs):.4f}", f"{np.median(snrs):.4f}"])
         writer.writerow(["si_snri_db", f"{np.mean(means):.4f}", f"{np.median(means):.4f}"])
+        writer.writerow(["mixtures_skipped", len(missing) + len(refused), ""])
     print(f"evaluated {len(results)} mixtures: "
           f"SI-SNRi mean {np.mean(means):.2f} dB, median {np.median(means):.2f} dB")
     return 0

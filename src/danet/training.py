@@ -46,6 +46,7 @@ __all__ = [
     "train_step",
     "training_loss",
     "load_corpus",
+    "read_utterance",
 ]
 
 # Epochs without a new best validation loss after which the learning rate
@@ -68,8 +69,8 @@ _MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
 def _release_freed_memory() -> None:
     """Return the heap pages freed by a training run to the OS.
 
-    glibc keeps freed heap memory resident: after a run, some 75 MB of
-    step working set on the benchmark's corpora.  A caller's next large
+    glibc keeps freed heap memory resident: after a run, some 15-25 MB
+    of step working set on the benchmark's corpora.  A caller's next large
     buffers then either fit its holes or add to it, so the process's peak
     moved by 13 MB from one identical run to the next.  malloc_trim drops
     those pages; on a C library without it this does nothing.
@@ -130,29 +131,46 @@ class TrainerState:
 
 
 def load_corpus(rows: list) -> list:
-    """Read the signals behind dataset index rows into memory as the int16
-    PCM the files store, 2 bytes a sample; a step converts only the
-    samples it transforms (:func:`danet.wavio.pcm_waveform`)."""
+    """Check the signals behind dataset index rows and describe them
+    without holding them.
+
+    Every file is read once here, so a bad WAV raises ValueError naming
+    it before training writes anything.  Of each row only its paths (the
+    mixture first), its sample count ``n`` and its source count ``C`` are
+    kept; :func:`read_utterance` reads the samples again when a step
+    transforms them, so a run's memory does not grow with its corpus.
+    """
     corpus = []
     for row in rows:
-        mix = wav_read_pcm(row["mixture_path"])
-        srcs = [wav_read_pcm(p) for p in row["source_paths"]]
-        corpus.append({"mix": mix, "sources": srcs, "C": len(srcs)})
+        paths = [row["mixture_path"], *row["source_paths"]]
+        n = len(wav_read_pcm(paths[0]))
+        for path in paths[1:]:
+            wav_read_pcm(path)
+        corpus.append({"paths": paths, "n": n, "C": len(paths) - 1})
     return corpus
 
 
-def _utterance_mags(item: dict, frames: tuple | None = None) -> tuple:
-    """Magnitude spectrograms (mix F x T, sources C x F x T) of a corpus
-    item's whole utterance, or of its ``frames = (start, length)``.  A
-    chunk converts and transforms only the PCM samples under its frames,
-    which gives bitwise the columns of the whole utterance's spectrogram."""
-    def mag(pcm: np.ndarray) -> np.ndarray:
+def read_utterance(item: dict) -> dict:
+    """The int16 PCM, 2 bytes a sample, of a :func:`load_corpus` item:
+    ``{"mix": samples, "sources": [samples, ...]}``.  A step converts only
+    the samples it transforms (:func:`danet.wavio.pcm_waveform`)."""
+    mix, *sources = (wav_read_pcm(path) for path in item["paths"])
+    return {"mix": mix, "sources": sources}
+
+
+def _utterance_mags(pcm: dict, frames: tuple | None = None) -> tuple:
+    """Magnitude spectrograms (mix F x T, sources C x F x T) of the PCM of
+    one utterance (:func:`read_utterance`), whole or of its ``frames =
+    (start, length)``.  A chunk converts and transforms only the samples
+    under its frames, which gives bitwise the columns of the whole
+    utterance's spectrogram."""
+    def mag(samples: np.ndarray) -> np.ndarray:
         if frames is not None:
             start, length = frames
-            pcm = pcm[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
-        return np.abs(stft(pcm_waveform(pcm)))
+            samples = samples[start * HOP : (start + length - 1) * HOP + WINDOW_LEN]
+        return np.abs(stft(pcm_waveform(samples)))
 
-    return mag(item["mix"]), np.stack([mag(s) for s in item["sources"]])
+    return mag(pcm["mix"]), np.stack([mag(s) for s in pcm["sources"]])
 
 
 def _chunks(frames: int, length: int) -> list:
@@ -217,7 +235,7 @@ def _validation_loss(net, settings, slots, corpus) -> float:
     """Mean per-bin loss over the validation utterances, fixed order."""
     total = 0.0
     for item in corpus:
-        mix_mag, src_mags = _utterance_mags(item)
+        mix_mag, src_mags = _utterance_mags(read_utterance(item))
         with no_grad():
             loss = training_loss(net, mix_mag, src_mags, settings.q, slots).item()
         total += loss / mix_mag.size
@@ -230,9 +248,10 @@ def _fixed_attractor_table(net, settings, corpus, slots) -> np.ndarray | None:
     for item in corpus:
         if item["C"] != slots:
             continue
-        _, v, w = embed_mixture(net, pcm_waveform(item["mix"]), settings.q)
+        pcm = read_utterance(item)
+        _, v, w = embed_mixture(net, pcm_waveform(pcm["mix"]), settings.q)
         y = ibm(np.stack([flatten_tf(np.abs(stft(pcm_waveform(s))))
-                          for s in item["sources"]]))
+                          for s in pcm["sources"]]))
         try:
             sets.append(form_attractors(v, y, w))
         except ValueError:
@@ -339,7 +358,7 @@ def train(
 
             order = []
             for utt_idx, item in enumerate(train_corpus):
-                for start, length in _chunks(n_frames(len(item["mix"])), chunk_len):
+                for start, length in _chunks(n_frames(item["n"]), chunk_len):
                     order.append((utt_idx, start, length))
             rng = np.random.default_rng(
                 np.random.SeedSequence([settings.seed, epoch]))
@@ -347,8 +366,8 @@ def train(
 
             train_loss = 0.0
             for step, (utt_idx, start, length) in enumerate(order):
-                mix_chunk, src_chunk = _utterance_mags(train_corpus[utt_idx],
-                                                       (start, length))
+                mix_chunk, src_chunk = _utterance_mags(
+                    read_utterance(train_corpus[utt_idx]), (start, length))
                 loss = train_step(net, opt, mix_chunk, src_chunk, settings.q, slots)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -401,6 +420,5 @@ def train(
         best_net = EmbedNet.from_arrays(net.config, best, net.n_anchors)
         fixed_table = _fixed_attractor_table(best_net, settings, train_corpus, slots)
     saved = save(fixed_table)
-    del train_corpus, val_corpus  # freed first, so the trim takes their pages too
     _release_freed_memory()
     return saved

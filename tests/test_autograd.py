@@ -187,6 +187,26 @@ class TestBackwardContract:
         with pytest.raises(RuntimeError, match="already called"):
             loss.backward()
 
+    def test_only_leaves_keep_gradients(self):
+        # the sweep drops each intermediate's gradient and tape as it passes
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 2)))
+        h = dense_tanh(w, x, b)
+        y = h * h
+        z = exp(y.T) + y.sum(axis=0, keepdims=True).T
+        loss = (z / 2.0).sum()
+        loss.backward()
+        assert w.grad is not None and b.grad is not None and x.grad is None
+        for node in (h, y, z, loss):
+            assert node.grad is None
+            assert node._parents == () and node._backward is None
+        with pytest.raises(RuntimeError, match="already called"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="already called"):
+            (y * 3.0).sum().backward()  # reaches a swept node
+
     def test_constants_track_nothing(self):
         c = Tensor(np.ones(3))
         out = c * 2.0 + 1.0

@@ -493,6 +493,15 @@ class TestSeparate:
         assert len(outs) == 2
 
 
+def skipped_count(summary) -> int:
+    """The count on the ``mixtures_skipped`` row of an evaluate summary."""
+    with open(summary) as fh:
+        counts = [r["mean"] for r in csv.DictReader(fh)
+                  if r["metric"] == "mixtures_skipped"]
+    assert len(counts) == 1
+    return int(counts[0])
+
+
 class TestEvaluate:
     def test_csv_row_count_equals_mixtures(self, corpus, trained, tmp_path):
         out = tmp_path / "scores.csv"
@@ -503,7 +512,7 @@ class TestEvaluate:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
-        assert (tmp_path / "scores_summary.csv").exists()
+        assert skipped_count(tmp_path / "scores_summary.csv") == 0
 
     def test_oracle_wfm_has_positive_median(self, corpus, tmp_path):
         out = tmp_path / "wfm.csv"
@@ -541,6 +550,7 @@ class TestEvaluate:
         ]) == 0
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 2
+        assert skipped_count(tmp_path / "partial_summary.csv") == len(rows) - 2
 
     def test_cut_wav_skipped_not_fatal(self, corpus, trained, tmp_path, capsys):
         cut = tmp_path / "cut"
@@ -605,6 +615,7 @@ class TestEvaluate:
         with open(out) as fh:
             names = [r["mixture"] for r in csv.DictReader(fh)]
         assert len(names) == 3 and third["mixture_path"] not in names
+        assert skipped_count(tmp_path / "silent_summary.csv") == 1
         err = capsys.readouterr().err
         assert "skipped 1 mixtures that could not be separated or scored" in err
         assert f"{third['mixture_path']}: reference is zero" in err

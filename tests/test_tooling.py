@@ -30,9 +30,13 @@ def test_every_traced_span_names_a_package_function():
 
 
 def test_bench_records_are_complete():
-    """Every ``BENCH_<n>.json`` at the root parses, holds its pairs, and
+    """Every ``BENCH_<n>.json`` at the root parses, holds its pairs,
     names the machine, numpy, the BLAS build and the BLAS thread count
-    its numbers were measured at."""
+    its numbers were measured at, and claims a workload and an end-to-end
+    metric that ``BENCHMARK.json`` declares."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
     records = sorted(ROOT.glob("BENCH_*.json"))
     assert records
     for path in records:
@@ -42,6 +46,9 @@ def test_bench_records_are_complete():
         missing = [key for key in ("cpu", "numpy", "blas", "blas_threads")
                    if not machine.get(key)]
         assert missing == [], f"{path.name} machine block lacks {missing}"
+        claimed = record.get("claimed", {})
+        assert claimed.get("workload") in workloads, f"{path.name} claimed workload"
+        assert claimed.get("metric") in metrics, f"{path.name} claimed metric"
 
 
 @pytest.mark.slow

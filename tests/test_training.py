@@ -22,6 +22,7 @@ from danet.training import (
     _release_freed_memory,
     _utterance_mags,
     load_corpus,
+    read_utterance,
     train,
 )
 from danet.wavio import pcm_waveform, wav_read
@@ -290,6 +291,22 @@ class TestTraining:
                   tmp_path / "x.log")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_truncated_wav_fails_before_log_or_checkpoint(self, micro_corpus,
+                                                          tmp_path, split):
+        # the last source of the split's last row: every file is read up
+        # front, not only those the first steps transform
+        rows = {name: [dict(r) for r in micro_corpus[name]]
+                for name in ("train", "validation")}
+        last = rows[split][-1]
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(last["source_paths"][-1].read_bytes()[:-100])
+        last["source_paths"] = [*last["source_paths"][:-1], cut]
+        with pytest.raises(ValueError, match="cut.wav"):
+            train(rows["train"], rows["validation"], TrainSettings(**MICRO),
+                  tmp_path / "t.ckpt", tmp_path / "t.log")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav"]
+
 
 class TestLoadCorpus:
     def test_holds_int16_pcm_of_the_files(self, micro_corpus):
@@ -298,7 +315,10 @@ class TestLoadCorpus:
         assert [item["C"] for item in corpus] == [len(r["source_paths"]) for r in rows]
         for row, item in zip(rows, corpus):
             paths = [row["mixture_path"], *row["source_paths"]]
-            for path, pcm in zip(paths, [item["mix"], *item["sources"]]):
+            utterance = read_utterance(item)
+            assert item["n"] == len(utterance["mix"])
+            for path, pcm in zip(paths, [utterance["mix"], *utterance["sources"]],
+                                 strict=True):
                 assert pcm.dtype == np.int16 and pcm.itemsize == 2
                 assert (pcm_waveform(pcm).samples.tobytes()
                         == wav_read(path).samples.tobytes())
