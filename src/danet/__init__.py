@@ -1,8 +1,8 @@
 """Deep attractor networks for single-channel source separation.
 
 A desk-scale, numpy-only implementation: STFT front-end, oracle masks,
-a small trainable embedding network with its own reverse-mode gradient
-engine, attractor and anchored-attractor mask estimation, three
+a small trainable embedding network with a closed-form backward pass,
+attractor and anchored-attractor mask estimation, three
 test-phase separation strategies, SI-SNR scoring, and a deterministic
 synthetic-mixture corpus.
 """

@@ -13,8 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .attractor import form_attractors
-from .autograd import exp, raw
+from .attractor import estimate_masks, form_attractors
 from .dsp import Waveform
 
 __all__ = [
@@ -34,13 +33,10 @@ def enumerate_subsets(n: int, c: int) -> list:
     return [tuple(s) for s in combinations(range(n), c)]
 
 
-def assignments_from_anchors(anchors, v):
+def assignments_from_anchors(anchors: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Soft speaker assignment from anchor similarities: softmax over the
     C rows of (anchors @ v), per bin."""
-    d = anchors @ v
-    shift = raw(d).max(axis=0, keepdims=True)
-    e = exp(d - shift)
-    return e / e.sum(axis=0, keepdims=True)
+    return estimate_masks(anchors @ v, "softmax")
 
 
 @dataclass
@@ -163,16 +159,15 @@ def _subset_scores(d: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> tupl
     return s, scales
 
 
-def pit_loss(x, targets, estimates):
+def pit_loss(x, targets: np.ndarray, estimates: np.ndarray) -> tuple:
     """Reconstruction loss minimized over all target permutations.
 
     Returns ``(loss, perm)`` where ``perm[i]`` is the estimate index paired
     with target i; ties go to the lexicographically first permutation.
-    Works on arrays or autograd tensors (the returned loss then carries
-    the graph of the winning pairing only).
+    The loss is the sum of the winning pairs' errors over C.
     """
-    c = raw(targets).shape[0]
-    if raw(estimates).shape[0] != c:
+    c = targets.shape[0]
+    if estimates.shape[0] != c:
         raise ValueError("targets and estimates must have the same source count")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     # pair_loss[i][j] = || x * (target_i - estimate_j) ||^2
@@ -183,13 +178,10 @@ def pit_loss(x, targets, estimates):
     ]
     best_perm, best_val = None, None
     for perm in permutations(range(c)):
-        val = sum(float(raw(pair_loss[i][perm[i]])) for i in range(c)) / c
+        val = sum(float(pair_loss[i][perm[i]]) for i in range(c)) / c
         if best_val is None or val < best_val:
             best_perm, best_val = perm, val
-    total = pair_loss[0][best_perm[0]]
-    for i in range(1, c):
-        total = total + pair_loss[i][best_perm[i]]
-    return total / c, best_perm
+    return best_val, best_perm
 
 
 def detect_active_sources(estimates: list) -> list:

@@ -1,8 +1,7 @@
 """Attractor formation, similarity masks, and the reconstruction objective.
 
-The formulas here are written once and accept either plain ndarrays or
-autograd tensors: numeric callers (inference, tests, subset selection) pass
-arrays, the training loss passes tensors and gets a differentiable graph.
+Every function takes and returns plain arrays; the training loss's
+gradient is one closed-form rule in :mod:`danet.training`.
 
 Shapes: embeddings V are K x FT, speaker assignments Y and masks are
 C x FT, the threshold vector w and the mixture magnitude x are length FT,
@@ -14,12 +13,11 @@ from math import floor
 
 import numpy as np
 
-from .autograd import exp, raw, sigmoid
-
 __all__ = [
     "threshold_vector",
     "form_attractors",
     "similarity_scores",
+    "softmax_parts",
     "estimate_masks",
     "reconstruction_loss",
 ]
@@ -51,7 +49,7 @@ def form_attractors(v, y, w):
     w = np.asarray(w, dtype=np.float64).reshape(1, -1)
     weights = y * w                       # C x FT
     mass = weights.sum(axis=1, keepdims=True)
-    if np.any(raw(mass) <= 0):
+    if np.any(mass <= 0):
         raise ValueError("empty source under threshold")
     return (weights @ v.T) / mass          # C x K
 
@@ -61,33 +59,41 @@ def similarity_scores(a, v):
     return a @ v
 
 
-def estimate_masks(d, nl: str = "softmax"):
+def softmax_parts(d: np.ndarray) -> tuple:
+    """The softmax over the rows of ``d`` as ``(e, s)``, the masks being
+    ``e / s``: ``e`` is exp of ``d`` less each column's maximum, ``s`` the
+    1 x FT column sums of ``e``."""
+    e = np.exp(d - d.max(axis=0, keepdims=True))
+    return e, e.sum(axis=0, keepdims=True)
+
+
+def estimate_masks(d: np.ndarray, nl: str = "softmax") -> np.ndarray:
     """Turn similarity scores into masks in [0, 1].
 
     Softmax normalizes across sources at every bin (masks sum to one);
     sigmoid squashes each score independently.
     """
     if nl == "softmax":
-        shift = raw(d).max(axis=0, keepdims=True)  # constant shift, gradient-exact
-        e = exp(d - shift)
-        return e / e.sum(axis=0, keepdims=True)
+        e, s = softmax_parts(d)
+        return e / s
     if nl == "sigmoid":
-        return sigmoid(d)
+        upper = 1.0 / (1.0 + np.exp(-np.abs(d)))  # exp(-|d|) never overflows
+        return np.where(d >= 0, upper, 1.0 - upper)
     raise ValueError(f"unknown mask nonlinearity: {nl!r}")
 
 
 def reconstruction_loss(x, target, est):
     """Magnitude-weighted L2 mask error: (1/C) * sum_i ||x * (m_i - m̂_i)||^2."""
-    if raw(target).shape != raw(est).shape:
+    if target.shape != est.shape:
         raise ValueError(
-            f"target masks {raw(target).shape} and estimates {raw(est).shape} disagree"
+            f"target masks {target.shape} and estimates {est.shape} disagree"
         )
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != raw(est).shape[1]:
+    if x.shape[1] != est.shape[1]:
         raise ValueError(
-            f"mixture length {x.shape[1]} does not match mask width {raw(est).shape[1]}"
+            f"mixture length {x.shape[1]} does not match mask width {est.shape[1]}"
         )
-    c = raw(est).shape[0]
+    c = est.shape[0]
     weighted = x * (target - est)
     return (weighted * weighted).sum() / c
 

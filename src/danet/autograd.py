@@ -1,25 +1,19 @@
-"""Minimal reverse-mode automatic differentiation on numpy arrays.
+"""The backward tape of a training step: fused nodes on numpy arrays.
 
-A :class:`Tensor` wraps an ndarray and records the operations applied to
-it; calling ``backward()`` on a scalar result walks the recorded graph in
-reverse topological order and accumulates gradients on the leaves, the
-tensors created with ``requires_grad=True``.  Every other node drops its
-gradient, its backward rule and its parents once it has passed its
-gradient on, so the sweep frees the tape as it goes: afterwards only the
-leaves hold gradients, and a graph can be swept once.  Only the handful
-of operations the separation pipeline needs are implemented; every
-backward rule is covered by a finite-difference test.
-
-``__array_ufunc__`` is disabled so that mixed expressions like
-``ndarray - Tensor`` dispatch to the Tensor's reflected operators instead
-of numpy's broadcasting machinery.  The module-level ``exp`` / ``tanh`` /
-``sigmoid`` helpers accept plain ndarrays too, so the mask and loss
-formulas can be written once and evaluated either numerically or under
-the tape.  Inside ``with no_grad():`` operations record nothing, for
-forward passes whose result feeds no ``backward()``.  A gradient is
-computed only for parents that require one, so constants (the network's
-input features, masks, weights) cost no backward work and keep
-``grad is None``.
+A :class:`Tensor` holds an ndarray.  The leaves are the tensors made with
+``requires_grad=True`` (the network's parameters).  Every other tensor is
+the value of one fused node: a dense layer (:func:`dense_tanh`) or a whole
+loss (:func:`fused`), computed by its caller on plain arrays, with one
+closed-form backward rule that returns the gradient of each parent.
+Calling ``backward()`` on a scalar result walks the recorded nodes in
+reverse topological order and accumulates gradients on the leaves.  Every
+node other than a leaf drops its gradient, its backward rule and its
+parents once it has passed its gradient on, so the sweep frees the tape
+as it goes: afterwards only the leaves hold gradients, and a graph can be
+swept once.  Inside ``with no_grad():`` nodes record nothing, for forward
+passes whose result feeds no ``backward()``.  A gradient is computed only
+for parents that require one, so constants (the network's input features)
+cost no backward work and keep ``grad is None``.
 """
 
 from contextlib import contextmanager
@@ -27,15 +21,14 @@ from contextvars import ContextVar
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "exp", "tanh", "sigmoid", "dense_tanh",
-           "raw"]
+__all__ = ["Tensor", "no_grad", "fused", "dense_tanh"]
 
 _recording = ContextVar("recording", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Record no operations on the tape while the block runs.
+    """Record no nodes on the tape while the block runs.
 
     Results computed inside are bitwise the same; they just carry no
     parents and no gradient requirement, so nothing is kept for a
@@ -48,23 +41,8 @@ def no_grad():
         _recording.reset(token)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes that were broadcast in the forward op."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
-    """ndarray with a gradient tape."""
-
-    __array_ufunc__ = None  # force numpy to defer to our reflected operators
+    """ndarray with a place on the gradient tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done")
 
@@ -76,175 +54,11 @@ class Tensor:
         self._backward = None
         self._done = False
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def _from_op(cls, data, parents, backward):
-        out = cls(data)
-        out.requires_grad = _recording.get() and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        return out
-
-    def _accum(self, g):
-        if self.requires_grad:
-            self.grad = g if self.grad is None else self.grad + g
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad, other.data.shape))
-
-        return Tensor._from_op(self.data + other.data, (self, other), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(out):
-            self._accum(-out.grad)
-
-        return Tensor._from_op(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        other = as_tensor(other)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-out.grad, other.data.shape))
-
-        return Tensor._from_op(self.data - other.data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        return Tensor._from_op(self.data * other.data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(_unbroadcast(out.grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(
-                    _unbroadcast(-out.grad * self.data / (other.data * other.data),
-                                 other.data.shape)
-                )
-
-        return Tensor._from_op(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-
-        def backward(out):
-            self._accum(out.grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._from_op(self.data ** exponent, (self,), backward)
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError("matmul is implemented for 2-D tensors only")
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ out.grad)
-
-        return Tensor._from_op(self.data @ other.data, (self, other), backward)
-
-    def __rmatmul__(self, other):
-        return as_tensor(other) @ self
-
-    # -- reductions and shape ops ------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        def backward(out):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
-
-        return Tensor._from_op(
-            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward
-        )
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-
-        def backward(out):
-            self._accum(out.grad.reshape(old))
-
-        return Tensor._from_op(self.data.reshape(shape), (self,), backward)
-
-    def transpose(self, axes=None):
-        inv = None if axes is None else tuple(np.argsort(axes))
-
-        def backward(out):
-            self._accum(out.grad.transpose(inv))
-
-        return Tensor._from_op(self.data.transpose(axes), (self,), backward)
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def __getitem__(self, key):
-        def backward(out):
-            g = np.zeros_like(self.data)
-            np.add.at(g, key, out.grad)
-            self._accum(g)
-
-        return Tensor._from_op(self.data[key], (self,), backward)
-
-    # -- backward pass ---------------------------------------------------------
 
     def backward(self):
         """Reverse-mode sweep from a scalar; may be called once per graph.
@@ -279,7 +93,9 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node._backward(node)
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    if g is not None and parent.requires_grad:
+                        parent.grad = g if parent.grad is None else parent.grad + g
             # passed on: drop the gradient and the tape behind this node, so
             # each node's arrays go as soon as the sweep is past its users
             node.grad = None
@@ -288,73 +104,39 @@ class Tensor:
             node._done = True
 
 
-def as_tensor(value) -> Tensor:
-    """Wrap arrays/scalars as constant tensors; pass tensors through."""
-    return value if isinstance(value, Tensor) else Tensor(value)
+def fused(value, parents: tuple, backward) -> Tensor:
+    """A tape node whose ``value`` its caller computed on plain arrays.
 
-
-def raw(value) -> np.ndarray:
-    """The plain ndarray behind a Tensor (or the input itself)."""
-    return value.data if isinstance(value, Tensor) else np.asarray(value)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    upper = 1.0 / (1.0 + np.exp(-np.abs(x)))  # exp(-|x|) never overflows
-    return np.where(x >= 0, upper, 1.0 - upper)
-
-
-def exp(x):
-    if not isinstance(x, Tensor):
-        return np.exp(x)
-
-    value = np.exp(x.data)
-
-    def backward(out):
-        x._accum(out.grad * value)
-
-    return Tensor._from_op(value, (x,), backward)
-
-
-def tanh(x):
-    if not isinstance(x, Tensor):
-        return np.tanh(x)
-
-    value = np.tanh(x.data)
-
-    def backward(out):
-        x._accum(out.grad * (1.0 - value * value))
-
-    return Tensor._from_op(value, (x,), backward)
-
-
-def sigmoid(x):
-    if not isinstance(x, Tensor):
-        return _stable_sigmoid(np.asarray(x, dtype=np.float64))
-
-    value = _stable_sigmoid(x.data)
-
-    def backward(out):
-        x._accum(out.grad * value * (1.0 - value))
-
-    return Tensor._from_op(value, (x,), backward)
+    In the sweep, ``backward(g)`` receives the node's gradient and returns
+    one gradient per parent, in order, or None for a parent that needs
+    none.  The node keeps ``parents`` and ``backward`` (and so whatever
+    the rule holds) only while recording and if some parent requires a
+    gradient; otherwise it is a constant.
+    """
+    out = Tensor(value)
+    out.requires_grad = _recording.get() and any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
 def dense_tanh(w: Tensor, x, b: Tensor, blocks: int | None = None) -> Tensor:
     """``tanh(w @ x + b)`` as one tape node.
 
-    ``w`` is R x D, ``x`` is D x T and ``b`` is R x 1.  The bias is added
-    into the product's buffer and tanh runs in place on it, so the value
-    is bitwise that of the three separate operations.  With ``blocks=K``
-    the R = K*F rows are read as K blocks of F and the result is the
-    K x T*F frame-major matrix: column ``t*F + f`` of block k holds row
-    ``k*F + f`` of frame t, the flattening of :mod:`danet.dsp`.  There
-    the bias add writes the frame-major buffer, so reordering costs no
-    extra pass.  The backward pass forms ``g * (1 - value**2)`` in one
-    buffer (frame-major, then reordered to R x T with one copy) and a
-    gradient only for the parents that require one.
+    ``w`` is R x D, ``x`` (a Tensor, or a constant array) is D x T and
+    ``b`` is R x 1.  The bias is added into the product's buffer and tanh
+    runs in place on it.  With ``blocks=K`` the R = K*F rows are read as K
+    blocks of F and the result is the K x T*F frame-major matrix: column
+    ``t*F + f`` of block k holds row ``k*F + f`` of frame t, the
+    flattening of :mod:`danet.dsp`.  There the bias add writes the
+    frame-major buffer, so reordering costs no extra pass.  The backward
+    pass forms ``g * (1 - value**2)`` in one buffer (frame-major, then
+    reordered to R x T with one copy) and a gradient only for the parents
+    that require one.
     """
-    x = as_tensor(x)
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
     z = w.data @ x.data
     if blocks is None:
         z += b.data
@@ -367,20 +149,17 @@ def dense_tanh(w: Tensor, x, b: Tensor, blocks: int | None = None) -> Tensor:
         z = framed.reshape(blocks, t * f)
     value = np.tanh(z, out=z)
 
-    def backward(out):
+    def backward(g):
         dz = value * value
         np.subtract(1.0, dz, out=dz)
-        dz *= out.grad
+        dz *= g
         if blocks is not None:
             # copy() makes dz row-major even at K = 1, where reshaping the
             # transposed view alone gives a column-major view; row-major
-            # keeps the gradients bitwise those of the op-by-op tape
+            # keeps the gradients bitwise those of the op-by-op formulas
             dz = dz.reshape(blocks, t, f).transpose(0, 2, 1).copy().reshape(blocks * f, t)
-        if w.requires_grad:
-            w._accum(dz @ x.data.T)
-        if b.requires_grad:
-            b._accum(dz.sum(axis=1, keepdims=True))
-        if x.requires_grad:
-            x._accum(w.data.T @ dz)
+        return (dz @ x.data.T if w.requires_grad else None,
+                w.data.T @ dz if x.requires_grad else None,
+                dz.sum(axis=1, keepdims=True) if b.requires_grad else None)
 
-    return Tensor._from_op(value, (w, x, b), backward)
+    return fused(value, (w, x, b), backward)

@@ -92,7 +92,10 @@ class Checkpoint:
         """
         if not best:
             self._require_all_arrays("build the current training state")
-        arrays = self.best_arrays if best else self._params("param/")
+        prefix = "best/" if best else "param/"
+        arrays = self._params(prefix)
+        for name, arr in arrays.items():
+            _require_finite(prefix + name, arr)
         return EmbedNet.from_arrays(self.config, arrays, self.n_anchors)
 
     def _params(self, prefix: str) -> dict:
@@ -127,7 +130,14 @@ class Checkpoint:
     @property
     def fixed_attractor_table(self) -> np.ndarray | None:
         arr = self.arrays.get("fixed_attractors")
-        return None if arr is None else arr.copy()
+        return None if arr is None else _require_finite("fixed_attractors", arr).copy()
+
+
+def _require_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``, or ValueError naming it if it holds NaN or ±inf."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint array '{name}' holds NaN or ±inf")
+    return arr
 
 
 def checkpoint_save(ckpt: Checkpoint, path) -> None:

@@ -15,15 +15,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .adanet import assignments_from_anchors, pit_loss, select_attractor_set
+from .adanet import pit_loss, select_attractor_set
 from .attractor import (
     estimate_masks,
     form_attractors,
     reconstruction_loss,
     similarity_scores,
+    softmax_parts,
     threshold_vector,
 )
-from .autograd import no_grad
+from .autograd import Tensor, fused, no_grad
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from .dsp import (
     HOP,
@@ -181,7 +182,7 @@ def _chunks(frames: int, length: int) -> list:
 
 
 def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
-                  q: float = 0.9, slots: int | None = None):
+                  q: float = 0.9, slots: int | None = None) -> Tensor:
     """Differentiable reconstruction loss of one chunk, for either model.
 
     ``mix_mag`` is the F x T mixture magnitude, ``source_mags`` is
@@ -189,10 +190,10 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     without anchors (DANet) takes the assignment Y from the sources' ideal
     binary mask and scores its masks in source order.  A net with anchors
     (ADANet) fills ``slots`` outputs (default C): sources it lacks get
-    all-zero target masks, Y comes from the anchor subset that wins
-    selection on the numeric embeddings, rebuilt on the tape so gradients
-    reach the anchors (under ``no_grad`` the selection's own attractors
-    are used), and the loss is minimized over target permutations.
+    all-zero target masks, the attractors are those of the anchor subset
+    that wins selection on the embeddings, and the loss is minimized over
+    target permutations.  Everything after the embedding is one tape node
+    (:func:`_loss_node`).
     """
     anchored = net.n_anchors > 0
     c = len(source_mags)
@@ -204,20 +205,90 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     target = wfm(src_flat)
     v = net.embed(log_magnitude(mix_mag))
     w = threshold_vector(x_flat, q)
+    nl = net.config.mask_nl
     if not anchored:
-        a = form_attractors(v, ibm(src_flat), w)
+        y = ibm(src_flat)
+        return _loss_node(v, x_flat, target, w, nl, form_attractors(v.data, y, w), y=y)
+    target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
+    selection = select_attractor_set(net.anchors.data, v.data, w, slots)
+    return _loss_node(v, x_flat, target, w, nl, selection.attractors,
+                      anchors=net.anchors, rows=list(selection.subset))
+
+
+def _loss_node(v: Tensor, x: np.ndarray, target: np.ndarray, w: np.ndarray, nl: str,
+               a: np.ndarray, y: np.ndarray | None = None, anchors: Tensor | None = None,
+               rows: list | None = None) -> Tensor:
+    """The loss after the embeddings ``v``, as one tape node.
+
+    ``a`` are the attractors: DANet's from its oracle assignment ``y``,
+    ADANet's those of the anchor ``rows`` of ``anchors`` that won
+    selection (the backward pass rebuilds that subset's assignment, bitwise
+    as the selection built it).  The loss pairs each target with one
+    estimate: DANet's with the same-index one, ADANet's as the PIT winner
+    does, and only that pairing is differentiated.  The backward rules are
+    the closed forms of the formulas in :mod:`danet.attractor`, each
+    product and sum in the order the chain rule takes them one operation
+    at a time, so the gradients are bitwise that chain's; they return
+    dL/dV and, for ADANet, dL/d(anchors).  The node holds only what
+    they read, and the sweep frees it once passed.
+    """
+    vd = v.data
+    d = similarity_scores(a, vd)
+    if nl == "softmax":
+        e, s = softmax_parts(d)
+        masks = e / s
     else:
-        target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
-        selection = select_attractor_set(net.anchors.data, v.data, w, slots)
-        if v.requires_grad:
-            y = assignments_from_anchors(net.anchors[list(selection.subset)], v)
-            a = form_attractors(v, y, w)
+        masks = estimate_masks(d, nl)
+    if anchors is None:
+        loss, perm = reconstruction_loss(x, target, masks), range(len(masks))
+    else:
+        loss, perm = pit_loss(x, target, masks)
+    x, w = x.reshape(1, -1), w.reshape(1, -1)
+
+    def backward(g):
+        # loss = (1/C) * sum over the pairs of ||x * (target - mask)||^2
+        paired = np.empty_like(target)
+        paired[list(perm)] = target            # estimate perm[i] meets target i
+        dm = x * (paired - masks)
+        dm *= g / len(masks) * 2
+        dm *= x
+        np.negative(dm, out=dm)
+        # masks of the scores d = a @ V
+        dd = _softmax_backward(dm, e, s) if nl == "softmax" else dm * masks * (1.0 - masks)
+        dv = a.T @ dd
+        da = dd @ vd.T
+        # a = (weights @ V.T) / mass, weights = Y * w, mass their row sums
+        if anchors is None:
+            weights = y * w
         else:
-            a = selection.attractors  # bitwise what the tape rebuild gives
-    est = estimate_masks(similarity_scores(a, v), net.config.mask_nl)
-    if anchored:
-        return pit_loss(x_flat, target, est)[0]
-    return reconstruction_loss(x_flat, target, est)
+            chosen = anchors.data[rows]
+            e0, s0 = softmax_parts(chosen @ vd)   # Y = e0 / s0
+            weights = (e0 / s0) * w
+        mass = weights.sum(axis=1, keepdims=True)
+        dnum = da / mass
+        dv += (weights.T @ dnum).T
+        if anchors is None:
+            return (dv,)
+        dweights = dnum @ vd
+        dweights += ((-da) * (weights @ vd.T) / (mass * mass)).sum(axis=1, keepdims=True)
+        dweights *= w
+        # Y is the softmax of chosen @ V
+        dd0 = _softmax_backward(dweights, e0, s0)
+        dv += chosen.T @ dd0
+        danchors = np.zeros_like(anchors.data)
+        danchors[rows] += dd0 @ vd.T
+        return dv, danchors
+
+    return fused(loss, (v,) if anchors is None else (v, anchors), backward)
+
+
+def _softmax_backward(dm: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient of the scores behind the softmax masks ``e / s``
+    (:func:`danet.attractor.softmax_parts`) given the masks' gradient."""
+    dd = dm / s
+    dd += ((-dm) * e / (s * s)).sum(axis=0, keepdims=True)
+    dd *= e
+    return dd
 
 
 def train_step(net: EmbedNet, opt: AdamState, mix_mag: np.ndarray,

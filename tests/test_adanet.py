@@ -480,14 +480,15 @@ class TestAdanetTrainStep:
 
     @pytest.mark.parametrize("slots", [2, 3])
     def test_untaped_loss_scores_the_selection_attractors(self, slots):
-        # without a tape the loss takes the winner's attractors from the
-        # selection; they are bitwise what the taped rebuild gives
+        # with a tape or without, the loss takes the winner's attractors
+        # from the selection; only the backward pass rebuilds its assignment
         mix, src = toy_mixture(seed=17)
         net = EmbedNet(TINY, seed=18, n_anchors=6)
-        taped = training_loss(net, mix, src, slots=slots).item()
         with mock.patch("danet.training.form_attractors",
-                        side_effect=AssertionError("rebuilt the winner")), no_grad():
-            untaped = training_loss(net, mix, src, slots=slots).item()
+                        side_effect=AssertionError("rebuilt the winner")):
+            taped = training_loss(net, mix, src, slots=slots).item()
+            with no_grad():
+                untaped = training_loss(net, mix, src, slots=slots).item()
         assert untaped == taped
 
     def test_more_sources_than_slots_rejected(self):

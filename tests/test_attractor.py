@@ -18,7 +18,7 @@ from danet.attractor import (
 from danet.autograd import Tensor
 from danet.masks import ibm
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
-from danet.training import train_step, training_loss
+from danet.training import _loss_node, train_step, training_loss
 
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
@@ -202,24 +202,34 @@ class TestReconstructionLoss:
         assert abs(reconstruction_loss(x, target, est) - 1.0) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
+        # the training loss node's dL/dV against central differences of
+        # the array formulas it fuses
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, 10)
         target = rng.uniform(0, 1, (2, 10))
-        est0 = rng.uniform(0, 1, (2, 10))
-        est = Tensor(est0.copy(), requires_grad=True)
-        reconstruction_loss(x, target, est).backward()
+        y = np.tile([[1.0, 0.0], [0.0, 1.0]], 5)
+        w = rng.integers(0, 2, 10).astype(float)
+        w[:2] = 1.0                                  # both sources keep mass
+        v0 = rng.uniform(-1, 1, (3, 10))
+
+        def loss_of(v):
+            a = form_attractors(v, y, w)
+            return reconstruction_loss(x, target,
+                                       estimate_masks(similarity_scores(a, v), "softmax"))
+
+        v = Tensor(v0.copy(), requires_grad=True)
+        node = _loss_node(v, x, target, w, "softmax", form_attractors(v0, y, w), y=y)
+        assert node.item() == loss_of(v0)
+        node.backward()
         h = 1e-6
-        for i in range(2):
+        for i in range(3):
             for j in range(10):
-                up = est0.copy()
+                up = v0.copy()
                 up[i, j] += h
-                down = est0.copy()
+                down = v0.copy()
                 down[i, j] -= h
-                fd = (
-                    reconstruction_loss(x, target, up)
-                    - reconstruction_loss(x, target, down)
-                ) / (2 * h)
-                assert abs(est.grad[i, j] - fd) < 1e-6
+                fd = (loss_of(up) - loss_of(down)) / (2 * h)
+                assert abs(v.grad[i, j] - fd) < 1e-6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.cli import main
 from danet.data import load_index
 from danet.dsp import Waveform, istft, stft
@@ -445,6 +446,28 @@ class TestSeparate:
         ]) == 2
         err = capsys.readouterr().err
         assert "'config'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model,strategy,array,bad", [
+        ("trained", "kmeans", "best/w_out", np.nan),
+        ("trained", "fixed", "fixed_attractors", np.inf),
+        ("trained_adanet", "anchored", "best/w_out", np.nan),
+        ("trained_adanet", "anchored", "best/anchors", -np.inf),
+    ])
+    def test_non_finite_array_named(self, corpus, tmp_path, capsys, request, model,
+                                    strategy, array, bad):
+        ckpt = checkpoint_load(request.getfixturevalue(model))
+        ckpt.arrays[array] = ckpt.arrays[array].copy()
+        ckpt.arrays[array].flat[0] = bad
+        path = tmp_path / "bad.ckpt"
+        checkpoint_save(ckpt, path)
+        row = load_index(corpus / "test" / "index.jsonl")[0]
+        assert main([
+            "separate", "--checkpoint", str(path), "--strategy", strategy,
+            "--input", str(row["mixture_path"]), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"'{array}'" in err and "NaN or ±inf" in err
+        assert not (tmp_path / "out").exists()
 
     def test_auto_requires_anchored(self, corpus, trained, tmp_path):
         row = load_index(corpus / "test" / "index.jsonl")[0]

@@ -3,6 +3,7 @@
 import gc
 import platform
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
 from danet.dsp import HOP, WINDOW_LEN, n_frames, stft
-from danet.nn import EmbedNetConfig
+from danet.nn import AdamState, EmbedNet, EmbedNetConfig
 from danet.training import (
     TrainerState,
     TrainSettings,
@@ -24,6 +25,8 @@ from danet.training import (
     load_corpus,
     read_utterance,
     train,
+    train_step,
+    training_loss,
 )
 from danet.wavio import pcm_waveform, wav_read
 
@@ -366,3 +369,62 @@ class TestChunkSpectrogram:
         mix_chunk, src_chunk = _utterance_mags(item, (start, length))
         np.testing.assert_array_equal(mix_chunk, mix[:, cols])
         np.testing.assert_array_equal(src_chunk, src[:, :, cols])
+
+
+class TestLossGradients:
+    """Every parameter's gradient of ``training_loss`` against central
+    differences, on a tiny net, in the cases the acceptance check (softmax
+    masks, C = slots = 2) leaves out."""
+
+    @pytest.mark.parametrize("n_anchors,c,slots,mask_nl", [
+        (0, 2, None, "sigmoid"),
+        (6, 2, 2, "sigmoid"),
+        (6, 2, 3, "softmax"),      # one slot left empty, its target all zero
+        (6, 3, 3, "softmax"),      # PIT searches all six permutations
+    ])
+    def test_matches_finite_differences(self, n_anchors, c, slots, mask_nl):
+        cfg = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7,
+                             mask_nl=mask_nl)
+        net = EmbedNet(cfg, seed=3, n_anchors=n_anchors)
+        src = np.random.default_rng(c).uniform(0.01, 1.0, size=(c, 7, 6))
+        mix = src.sum(axis=0)
+        net.zero_grad()
+        training_loss(net, mix, src, slots=slots).backward()
+        h = 1e-5
+        for name, p in net.params.items():
+            flat = p.data.reshape(-1)
+            fd = np.empty(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = training_loss(net, mix, src, slots=slots).item()
+                flat[i] = orig - h
+                down = training_loss(net, mix, src, slots=slots).item()
+                flat[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(p.grad.reshape(-1), fd, rtol=1e-5, atol=1e-9,
+                                       err_msg=name)
+
+
+class TestStepMemory:
+    # tracemalloc peak, in bytes, of the same steady-state step when every
+    # operation after the embedding was its own tape node; the peak is the
+    # same on every repeat and at any BLAS thread count
+    @pytest.mark.parametrize("n_anchors,c,slots,tape_peak", [
+        (0, 2, None, 22_691_232),
+        (6, 2, 3, 28_815_432),
+        (6, 3, 3, 28_815_432),
+    ])
+    def test_step_peak_within_the_per_op_tape(self, n_anchors, c, slots, tape_peak):
+        net = EmbedNet(EmbedNetConfig(), seed=0, n_anchors=n_anchors)
+        opt = AdamState()
+        src = np.random.default_rng(0).uniform(0.0, 1.0, (c, 129, 247)) ** 3
+        mix = src.sum(axis=0)
+        train_step(net, opt, mix, src, slots=slots)      # Adam's moments exist
+        tracemalloc.start()
+        try:
+            train_step(net, opt, mix, src, slots=slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tape_peak
