@@ -13,7 +13,8 @@ as it goes: afterwards only the leaves hold gradients, and a graph can be
 swept once.  Inside ``with no_grad():`` nodes record nothing, for forward
 passes whose result feeds no ``backward()``.  A gradient is computed only
 for parents that require one, so constants (the network's input features)
-cost no backward work and keep ``grad is None``.
+cost no backward work and keep ``grad is None``.  After ``grad = None``
+a leaf's next dense-rule gradient is written into the array it had.
 """
 
 from contextlib import contextmanager
@@ -44,7 +45,8 @@ def no_grad():
 class Tensor:
     """ndarray with a place on the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done",
+                 "_held")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -53,6 +55,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._done = False
+        self._held = None
 
     def item(self) -> float:
         return float(self.data)
@@ -109,7 +112,9 @@ def fused(value, parents: tuple, backward) -> Tensor:
 
     In the sweep, ``backward(g)`` receives the node's gradient and returns
     one gradient per parent, in order, or None for a parent that needs
-    none.  The node keeps ``parents`` and ``backward`` (and so whatever
+    none.  A rule may overwrite the gradient it receives, so it hands each
+    parent an array that nothing else reads, never one array to two
+    parents.  The node keeps ``parents`` and ``backward`` (and so whatever
     the rule holds) only while recording and if some parent requires a
     gradient; otherwise it is a constant.
     """
@@ -121,6 +126,17 @@ def fused(value, parents: tuple, backward) -> Tensor:
     return out
 
 
+def _grad_out(t: Tensor) -> np.ndarray | None:
+    """The array a rule writes the gradient of parent ``t`` into: for a
+    leaf with no gradient yet in this sweep, the one it keeps across
+    sweeps; otherwise None, a new array the sweep adds to the gradient."""
+    if t._backward is None and t.grad is None:
+        if t._held is None:
+            t._held = np.empty(t.data.shape)
+        return t._held
+    return None
+
+
 def dense_tanh(w: Tensor, x, b: Tensor, blocks: int | None = None) -> Tensor:
     """``tanh(w @ x + b)`` as one tape node.
 
@@ -129,37 +145,44 @@ def dense_tanh(w: Tensor, x, b: Tensor, blocks: int | None = None) -> Tensor:
     runs in place on it.  With ``blocks=K`` the R = K*F rows are read as K
     blocks of F and the result is the K x T*F frame-major matrix: column
     ``t*F + f`` of block k holds row ``k*F + f`` of frame t, the
-    flattening of :mod:`danet.dsp`.  There the bias add writes the
-    frame-major buffer, so reordering costs no extra pass.  The backward
-    pass forms ``g * (1 - value**2)`` in one buffer (frame-major, then
-    reordered to R x T with one copy) and a gradient only for the parents
-    that require one.
+    flattening of :mod:`danet.dsp`.  There each F x T block of the product
+    takes the bias and tanh in one scratch and goes back over itself
+    frame-major.  The backward pass forms ``g * (1 - value**2)`` (for K
+    blocks in that scratch, block by block, written back over ``g`` in
+    R x T order) and a gradient only for the parents that require one.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
     z = w.data @ x.data
+    r, t = z.shape
     if blocks is None:
         z += b.data
+        value = np.tanh(z, out=z)
     else:
-        r, t = z.shape
         f = r // blocks
-        framed = np.empty((blocks, t, f))
-        np.add(z.reshape(blocks, f, t).transpose(0, 2, 1), b.data.reshape(blocks, 1, f),
-               out=framed)
-        z = framed.reshape(blocks, t * f)
-    value = np.tanh(z, out=z)
+        scratch = np.empty((f, t))
+        for zk, bk in zip(z.reshape(blocks, f * t), b.data.reshape(blocks, f, 1)):
+            np.add(zk.reshape(f, t), bk, out=scratch)
+            zk.reshape(t, f)[...] = np.tanh(scratch, out=scratch).T
+        value = z.reshape(blocks, t * f)
 
     def backward(g):
-        dz = value * value
-        np.subtract(1.0, dz, out=dz)
-        dz *= g
-        if blocks is not None:
-            # copy() makes dz row-major even at K = 1, where reshaping the
-            # transposed view alone gives a column-major view; row-major
-            # keeps the gradients bitwise those of the op-by-op formulas
-            dz = dz.reshape(blocks, t, f).transpose(0, 2, 1).copy().reshape(blocks * f, t)
-        return (dz @ x.data.T if w.requires_grad else None,
+        if blocks is None:
+            dz = value * value
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
+        else:
+            g = np.require(g, requirements="CW")   # a copy if not writable in place
+            for vk, gk in zip(value, g):
+                vk = vk.reshape(t, f).T
+                np.multiply(vk, vk, out=scratch)
+                np.subtract(1.0, scratch, out=scratch)
+                np.multiply(scratch, gk.reshape(t, f).T, out=scratch)
+                gk.reshape(f, t)[...] = scratch
+            dz = g.reshape(r, t)
+        return (np.matmul(dz, x.data.T, out=_grad_out(w)) if w.requires_grad else None,
                 w.data.T @ dz if x.requires_grad else None,
-                dz.sum(axis=1, keepdims=True) if b.requires_grad else None)
+                np.sum(dz, axis=1, keepdims=True, out=_grad_out(b))
+                if b.requires_grad else None)
 
     return fused(value, (w, x, b), backward)

@@ -55,8 +55,9 @@ class Checkpoint:
         ``best`` parameter arrays by name, and ``opt``'s moments (zero for
         a parameter Adam has not stepped yet).
 
-        The arrays are held, not copied: Adam rebinds parameters and
-        moments and never writes into an array it held."""
+        The arrays are held, not copied.  Adam updates parameters and
+        moments in place, so the checkpoint shows the state it was made
+        from only until the next step: save it before then."""
         arrays = {}
         for name, p in net.params.items():
             arrays[f"param/{name}"] = p.data
@@ -86,9 +87,9 @@ class Checkpoint:
     def build_net(self, best: bool = True) -> EmbedNet:
         """Instantiate the network from stored arrays.
 
-        ``best=True`` loads the best-validation parameter set (inference);
-        ``best=False`` loads the current training state (resume).  The
-        net holds the stored arrays themselves, without a copy.
+        ``best=True`` loads the best-validation parameter set (inference),
+        holding the stored arrays themselves; ``best=False`` loads copies
+        of the current training state (resume), for Adam to update in place.
         """
         if not best:
             self._require_all_arrays("build the current training state")
@@ -96,6 +97,8 @@ class Checkpoint:
         arrays = self._params(prefix)
         for name, arr in arrays.items():
             _require_finite(prefix + name, arr)
+            if not best:
+                arrays[name] = arr.copy()
         return EmbedNet.from_arrays(self.config, arrays, self.n_anchors)
 
     def _params(self, prefix: str) -> dict:
@@ -103,6 +106,8 @@ class Checkpoint:
                 for name in self.config.param_shapes(self.n_anchors)}
 
     def build_adam(self) -> AdamState:
+        """The optimizer state, its moments copies of the stored ones, so
+        that Adam updates them in place without touching the checkpoint."""
         self._require_all_arrays("build the optimizer state")
         state = AdamState(
             lr=self.adam["lr"],
@@ -113,9 +118,9 @@ class Checkpoint:
         )
         for key, arr in self.arrays.items():
             if key.startswith("adam_m/"):
-                state.m[key[len("adam_m/"):]] = arr
+                state.m[key[len("adam_m/"):]] = arr.copy()
             elif key.startswith("adam_v/"):
-                state.v[key[len("adam_v/"):]] = arr
+                state.v[key[len("adam_v/"):]] = arr.copy()
         return state
 
     def _require_all_arrays(self, action: str) -> None:

@@ -108,8 +108,8 @@ class EmbedNet:
     def from_arrays(cls, config: EmbedNetConfig, arrays: dict,
                     n_anchors: int = 0) -> "EmbedNet":
         """A net whose parameters are ``arrays[name]``, drawing no
-        initialization.  The arrays are held, not copied: Adam rebinds a
-        parameter's ``data`` and never writes into the array it held."""
+        initialization.  The arrays are held, not copied, and Adam updates
+        them in place: pass copies of arrays that must stay as they are."""
         net = cls.__new__(cls)
         net._hold(config, n_anchors, arrays)
         return net
@@ -166,13 +166,15 @@ class AdamState:
 
 
 def adam_step(params: dict, state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+    """One bias-corrected Adam update, in place on parameters and moments.
 
     Parameters with no accumulated gradient this step are treated as
-    having a zero gradient.
+    having a zero gradient.  Each parameter is updated a block of rows at a
+    time through two scratch arrays, by the formula's operations in its
+    order, so the result is bitwise that of the out-of-place update.
     """
     state.step += 1
-    t = state.step
+    b1, b2, t = state.beta1, state.beta2, state.step
     for name, p in params.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
@@ -182,11 +184,23 @@ def adam_step(params: dict, state: AdamState) -> AdamState:
                 f"optimizer state for '{name}' has shape {state.m[name].shape}, "
                 f"parameter has {p.data.shape}"
             )
-        g = p.grad if p.grad is not None else 0.0
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v, n = state.m[name], state.v[name], len(p.data)
+        # blocks of 16384 entries: their slices and the scratch stay in cache
+        rows = max(1, min(n, 16384 * n // max(p.data.size, 1)))
+        s1, s2 = np.empty((2, rows, *p.data.shape[1:]))
+        for i in range(0, n, rows):
+            g = 0.0 if p.grad is None else p.grad[i : i + rows]
+            x, mb, vb = (arr[i : i + rows] for arr in (p.data, m, v))
+            a, b = s1[: len(x)], s2[: len(x)]
+            mb *= b1
+            mb += np.multiply(1 - b1, g, out=a)
+            vb *= b2
+            vb += np.multiply(np.multiply(g, g, out=b), 1 - b2, out=b)
+            np.divide(mb, 1 - b1**t, out=a)
+            a *= state.lr
+            np.divide(vb, 1 - b2**t, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            x -= a
     return state
-

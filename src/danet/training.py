@@ -70,11 +70,12 @@ _MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
 def _release_freed_memory() -> None:
     """Return the heap pages freed by a training run to the OS.
 
-    glibc keeps freed heap memory resident: after a run, some 15-25 MB
-    of step working set on the benchmark's corpora.  A caller's next large
-    buffers then either fit its holes or add to it, so the process's peak
-    moved by 13 MB from one identical run to the next.  malloc_trim drops
-    those pages; on a C library without it this does nothing.
+    glibc keeps freed heap memory resident: after a run, about 5 MB of
+    step working set on the benchmark's corpora (18-22 MB before Adam ran
+    in place).  A caller's next large buffers fit its holes or add to it,
+    so the process's peak moved by 13 MB from one identical run to the
+    next.  malloc_trim drops those pages; on a C library without it this
+    does nothing.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -424,6 +425,10 @@ def train(
                 break
             epoch += 1
             state.epoch_in_phase += 1
+            # Adam steps in place: move the parameters off the best snapshot
+            if any(p.data is best[name] for name, p in net.params.items()):
+                for p in net.params.values():
+                    p.data = p.data.copy()
             chunk_len = (settings.chunk_short if state.phase == 1
                          else settings.chunk_long)
 

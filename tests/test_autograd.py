@@ -84,6 +84,97 @@ class TestDenseTanh:
         assert not out.requires_grad and out._parents == ()
 
 
+def frame_major_oracle(w, x, b, blocks, g):
+    """The output layer as it was computed before it ran in place: value,
+    then the w, x and b gradients for the value's gradient ``g``."""
+    z = w @ x
+    r, t = z.shape
+    f = r // blocks
+    framed = np.empty((blocks, t, f))
+    np.add(z.reshape(blocks, f, t).transpose(0, 2, 1), b.reshape(blocks, 1, f),
+           out=framed)
+    value = np.tanh(framed.reshape(blocks, t * f))
+    dz = value * value
+    np.subtract(1.0, dz, out=dz)
+    dz *= g
+    dz = dz.reshape(blocks, t, f).transpose(0, 2, 1).copy().reshape(blocks * f, t)
+    return value, dz @ x.T, w.T @ dz, dz.sum(axis=1, keepdims=True)
+
+
+class TestDenseTanhInPlace:
+    """The output layer (``blocks=K``) byte for byte against the frame-major
+    code it replaced, however its gradient is handed in."""
+
+    F, D = 129, 24
+
+    def arrays(self, k, t, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-0.3, 0.3, (k * self.F, self.D)),
+                rng.standard_normal((self.D, t)),
+                rng.uniform(-0.5, 0.5, (k * self.F, 1)),
+                rng.standard_normal((k, t * self.F)))
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("t", [1, 2, 100, 247])
+    @pytest.mark.parametrize("handed", ["row-major", "column-major", "read-only",
+                                        "two consumers"])
+    def test_bitwise_equal_to_frame_major_code(self, k, t, handed):
+        w, x, b, g = self.arrays(k, t, seed=k * 1000 + t)
+        want = frame_major_oracle(w, x, b, k, g if handed != "two consumers"
+                                  else 0.25 * g + 0.75 * g)
+        tw, tx, tb = (Tensor(a.copy(), requires_grad=True) for a in (w, x, b))
+        v = dense_tanh(tw, tx, tb, blocks=k)
+        assert v.data.tobytes() == want[0].tobytes()
+        value = v.data.copy()
+        if handed == "row-major":
+            loss = fused(0.0, (v,), lambda _: (g.copy(),))
+        elif handed in ("column-major", "read-only"):
+            given = np.asfortranarray(g.copy()) if handed == "column-major" else g.copy()
+            given.flags.writeable = handed != "read-only"
+            loss = fused(0.0, (v,), lambda _: (given,))
+        else:   # v.grad is the sum of two gradients, summed by the sweep
+            parts = [fused(0.0, (v,), lambda _, s=s: (s * g,)) for s in (0.25, 0.75)]
+            loss = fused(0.0, tuple(parts), lambda gr: (gr.copy(), gr.copy()))
+        loss.backward()
+        for tensor, expected in zip((tw, tx, tb), want[1:]):
+            assert tensor.grad.tobytes() == expected.tobytes()
+        assert v.data.tobytes() == value.tobytes()     # the value is left as it was
+        if handed == "read-only" or (handed == "column-major"
+                                     and not given.flags.c_contiguous):
+            assert given.tobytes() == g.tobytes()       # copied, not written
+
+    def test_leaf_with_a_gradient_in_the_sweep_accumulates(self):
+        # w feeds two layers, so its second gradient must be added to the
+        # first, not written over it into the array w keeps; again on a
+        # second sweep that reuses that array
+        w, x, b, g = self.arrays(3, 5, seed=1)
+        x2 = np.random.default_rng(2).standard_normal(x.shape)
+        singles = []
+        for xi in (x, x2):
+            tw = Tensor(w.copy(), requires_grad=True)
+            weighted_sum(dense_tanh(tw, xi, Tensor(b), blocks=3), g).backward()
+            singles.append(tw.grad)
+        tw = Tensor(w.copy(), requires_grad=True)
+        for sweep in range(2):
+            tw.grad = None
+            out = [dense_tanh(tw, xi, Tensor(b), blocks=3) for xi in (x, x2)]
+            fused(0.0, tuple(out), lambda _: (g.copy(), g.copy())).backward()
+            assert tw.grad.tobytes() == (singles[0] + singles[1]).tobytes()
+        # with no gradient in between, a sweep adds to the one already there
+        weighted_sum(dense_tanh(tw, x, Tensor(b), blocks=3), g).backward()
+        assert tw.grad.tobytes() == (singles[0] + singles[1] + singles[0]).tobytes()
+
+    def test_leaf_gradient_lands_in_the_array_it_keeps(self):
+        w, x, b, g = self.arrays(3, 5, seed=3)
+        tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        held = []
+        for _ in range(2):
+            tw.grad = tb.grad = None
+            weighted_sum(dense_tanh(tw, x, tb, blocks=3), g).backward()
+            held.append((tw.grad, tb.grad))
+        assert held[0][0] is held[1][0] and held[0][1] is held[1][1]
+
+
 class TestAnalyticCases:
     def test_sum_of_squares_gradient(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)

@@ -268,8 +268,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(current.params["w0"].data, ckpt.arrays["param/w0"])
 
     @pytest.mark.parametrize("best", [True, False])
-    def test_build_net_holds_stored_arrays_without_drawing(self, tmp_path,
-                                                           monkeypatch, best):
+    def test_build_net_without_drawing(self, tmp_path, monkeypatch, best):
+        # inference holds the stored arrays; a resume gets copies for Adam
+        # to update in place
         checkpoint_save(make_checkpoint(6), tmp_path / "h.ckpt")
         loaded = checkpoint_load(tmp_path / "h.ckpt")
 
@@ -281,7 +282,22 @@ class TestCheckpoint:
         prefix = "best/" if best else "param/"
         assert net.params.keys() == TINY.param_shapes(n_anchors=3).keys()
         for name, p in net.params.items():
-            assert p.data is loaded.arrays[prefix + name]
+            stored = loaded.arrays[prefix + name]
+            if best:
+                assert p.data is stored
+            else:
+                assert not np.shares_memory(p.data, stored)
+                assert p.data.tobytes() == stored.tobytes()
+
+    def test_build_adam_copies_stored_moments(self, tmp_path):
+        checkpoint_save(make_checkpoint(6), tmp_path / "a.ckpt")
+        loaded = checkpoint_load(tmp_path / "a.ckpt")
+        opt = loaded.build_adam()
+        for name in TINY.param_shapes(n_anchors=3):
+            for moments, key in ((opt.m, "adam_m/"), (opt.v, "adam_v/")):
+                stored = loaded.arrays[key + name]
+                assert not np.shares_memory(moments[name], stored)
+                assert moments[name].tobytes() == stored.tobytes()
 
     def test_resumed_step_leaves_stored_arrays_alone(self, tmp_path):
         ckpt = make_checkpoint(7)

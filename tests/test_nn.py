@@ -161,20 +161,44 @@ class TestFromArrays:
         for name, p in net.params.items():
             assert p.data is arrays[name] and p.requires_grad
 
-    def test_adam_never_writes_into_held_arrays(self):
+    def test_adam_updates_held_arrays_in_place(self):
+        # byte-equal to the out-of-place formula, signed zeros included: b0
+        # never gets a gradient, and a -0.0 moment entry with a zero
+        # gradient must come out +0.0 as beta1 * -0.0 + 0.0 does
         rng = np.random.default_rng(22)
-        arrays = {name: rng.standard_normal(shape)
-                  for name, shape in TINY.param_shapes().items()}
-        before = {name: arr.copy() for name, arr in arrays.items()}
+        shapes = {**TINY.param_shapes(), "big": (700, 30)}   # several blocks
+        arrays = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         net = EmbedNet.from_arrays(TINY, arrays)
-        opt = AdamState()
-        for _ in range(2):
-            net.zero_grad()
-            squared_error(net.embed(rng.standard_normal((7, 5))), 0.0).backward()
-            adam_step(net.params, opt)
-        for name, arr in arrays.items():
-            np.testing.assert_array_equal(arr, before[name])
-            assert not np.array_equal(net.params[name].data, arr)
+        params = {**net.params, "big": Tensor(arrays["big"], requires_grad=True)}
+        opt = AdamState(lr=1e-2)
+        want = {name: arr.copy() for name, arr in arrays.items()}
+        want_m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        want_v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+        for t in range(1, 5):
+            for name, p in params.items():
+                p.grad = None if name == "b0" else rng.standard_normal(p.data.shape)
+            if t == 3:
+                for moments in (opt.m, want_m):
+                    moments["b0"][0, 0] = moments["w0"][1, 2] = -0.0
+                params["w0"].grad[1, 2] = 0.0
+            held = {name: (p.data, opt.m.get(name), opt.v.get(name))
+                    for name, p in params.items()}
+            adam_step(params, opt)
+            for name, p in params.items():
+                g = p.grad if p.grad is not None else 0.0
+                want_m[name] = opt.beta1 * want_m[name] + (1 - opt.beta1) * g
+                want_v[name] = opt.beta2 * want_v[name] + (1 - opt.beta2) * (g * g)
+                m_hat = want_m[name] / (1 - opt.beta1**t)
+                v_hat = want_v[name] / (1 - opt.beta2**t)
+                want[name] = want[name] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+                assert p.data.tobytes() == want[name].tobytes(), (name, t)
+                assert opt.m[name].tobytes() == want_m[name].tobytes(), (name, t)
+                assert opt.v[name].tobytes() == want_v[name].tobytes(), (name, t)
+                assert p.data is arrays[name]
+                if t > 1:
+                    assert opt.m[name] is held[name][1] and opt.v[name] is held[name][2]
+        assert np.signbit(opt.m["w0"][1, 2]) == np.signbit(want_m["w0"][1, 2])
+        assert not np.signbit(opt.m["b0"][0, 0])
 
 
 class TestContextStack:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from danet.checkpoint import checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
 from danet.dsp import HOP, WINDOW_LEN, n_frames, stft
-from danet.nn import AdamState, EmbedNet, EmbedNetConfig
+from danet.nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
 from danet.training import (
     TrainerState,
     TrainSettings,
@@ -428,3 +428,76 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= tape_peak
+
+    def test_adam_step_peak_under_one_mib(self):
+        # parameters, moments and gradients are updated in place through a
+        # small scratch; the out-of-place update peaked at 18 MB here
+        net = EmbedNet(EmbedNetConfig(), seed=0)
+        rng = np.random.default_rng(1)
+        for p in net.params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        opt = AdamState()
+        adam_step(net.params, opt)                        # the moments exist
+        tracemalloc.start()
+        try:
+            adam_step(net.params, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_steady_step_makes_no_new_gradient_array(self):
+        # every weight and bias gradient lands in the array its parameter
+        # keeps for the run
+        net = EmbedNet(EmbedNetConfig(), seed=0)
+        opt = AdamState()
+        src = np.random.default_rng(0).uniform(0.0, 1.0, (2, 129, 100)) ** 3
+        train_step(net, opt, src.sum(axis=0), src)
+        held = {name: p.grad for name, p in net.params.items()}
+        for _ in range(2):
+            train_step(net, opt, src.sum(axis=0), src)
+            for name, p in net.params.items():
+                assert p.grad is held[name], name
+
+
+class TestBestSnapshot:
+    @pytest.mark.parametrize("resumed", [False, True], ids=["straight", "resumed"])
+    def test_steps_leave_the_best_parameters_alone(self, micro_corpus, tmp_path,
+                                                   monkeypatch, resumed):
+        # Adam steps in place, so the best snapshot must not share arrays
+        # with the parameters it steps: every checkpoint's best/* must equal
+        # the param/* saved at the best epoch so far
+        import danet.training as training_mod
+
+        saved = {}
+
+        def save(ckpt, path):
+            saved[ckpt.epoch] = {k: a.copy() for k, a in ckpt.arrays.items()}
+            real_save(ckpt, path)
+
+        real_save = training_mod.checkpoint_save
+        monkeypatch.setattr(training_mod, "checkpoint_save", save)
+        # at this rate epoch 3 does not improve on epoch 2
+        settings = {**MICRO, "model": "adanet", "anchors": 6, "lr": 0.05}
+        args = (micro_corpus["train"], micro_corpus["validation"])
+        paths = (tmp_path / "b.ckpt", tmp_path / "b.log")
+        if resumed:
+            train(*args, TrainSettings(**settings, stop_after_epochs=1), *paths)
+        final = train(*args, TrainSettings(**settings), *paths, resume=resumed)
+        rows = [line.split(",") for line in paths[1].read_text().splitlines()[1:]]
+        improved = [row[-1] == "1" for row in rows]
+        assert len(rows) >= 3 and improved[1] and not improved[2]
+        best_epoch = 0
+        for epoch, better in enumerate(improved, start=1):
+            if better:
+                best_epoch = epoch
+            for name in net_names(saved[epoch]):
+                assert (saved[epoch][f"best/{name}"].tobytes()
+                        == saved[best_epoch][f"param/{name}"].tobytes()), (epoch, name)
+        for name in net_names(saved[best_epoch]):
+            assert (final.arrays[f"best/{name}"].tobytes()
+                    == saved[best_epoch][f"param/{name}"].tobytes())
+
+
+def net_names(arrays: dict) -> list:
+    return [key[len("param/"):] for key in arrays if key.startswith("param/")]
