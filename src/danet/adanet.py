@@ -62,21 +62,22 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
     that is not finite never wins, and if no subset has a finite score
     the selection raises ``ValueError``.
 
-    Every subset is first scored from one ``anchors @ v`` product with one
-    exp per anchor and bin.  The subsets those scores cannot rank -- each
-    within 1e-9 of the least (relative to the larger of it and the
-    subset's largest squared attractor norm), and each the shared shift
-    cannot resolve -- are then scored exactly, each from its own
-    :func:`form_attractors` rebuild, and the least exact score wins.  So
-    the winner's score and attractors are what that subset's own
-    computation gives; on real inputs only the winner is rebuilt.
+    Every subset is first scored fast, from C - 1 weight rows each.  The
+    subsets those scores cannot rank -- each within 1e-9 of the least
+    (relative to the larger of it and the subset's largest squared
+    attractor norm), and each the fast pass cannot resolve (an underflow,
+    or a last source under 1e-3 of the mass) -- are then scored exactly,
+    each from its own :func:`form_attractors` rebuild, and the least exact
+    score wins.  So the winner's score and attractors are what that
+    subset's own computation gives; on real inputs only the winner is
+    rebuilt.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     n = anchors.shape[0]
     if c > n:
         raise ValueError(f"C={c} exceeds the {n} available anchors")
     subsets = enumerate_subsets(n, c)
-    scores, scales = _subset_scores(anchors @ v, v, w, np.array(subsets))
+    scores, scales = _subset_scores(anchors, v, w, np.array(subsets))
     rescore = np.isnan(scores)
     finite = np.isfinite(scores)
     if finite.any():
@@ -100,6 +101,7 @@ def select_attractor_set(anchors: np.ndarray, v: np.ndarray, w: np.ndarray,
 def _exact_score(anchors: np.ndarray, v: np.ndarray, w) -> tuple:
     """One subset's score and attractors from its own assignment; inf and
     no attractors if a source is left without weight mass."""
+    # its own anchors @ v: rows of the fast pass's product differ in bits
     try:
         a = form_attractors(v, assignments_from_anchors(anchors, v), w)
     except ValueError:                    # a source empty under threshold
@@ -108,53 +110,64 @@ def _exact_score(anchors: np.ndarray, v: np.ndarray, w) -> tuple:
     return (float((a @ a.T)[~np.eye(c, dtype=bool)].max()) if c > 1 else 0.0), a
 
 
-# Bytes of assignment rows scored at once.  A block holds every subset's
-# rows over a run of bins, so it and its slice of v stay in a 2 MB L2
-# cache; blocks of whole-utterance rows would stream v from memory for
-# every block.
-_BLOCK_BYTES = 1 << 20
+# Bytes of a block's exps, denominators and weight rows for every subset
+# over a run of bins: it and its slice of v stay well inside a 2 MB L2
+# cache (1 MiB ran about 12% slower); whole-utterance rows would stream v
+# from memory for every block.
+_BLOCK_BYTES = 1 << 19
 
 # Below this a softmax denominator, or a source's weight mass, has lost
 # significant bits to the shift shared by all subsets.
 _TINY = 2.0 ** -500
 
 
-def _subset_scores(d: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> tuple:
+def _subset_scores(anchors: np.ndarray, v: np.ndarray, w, subsets: np.ndarray) -> tuple:
     """Fast in-set similarity of each subset (row of ``subsets``) of the
-    rows of ``d = anchors @ v``, and each subset's largest squared
-    attractor norm.  Every bin is shifted by its largest anchor
-    similarity, the same for all subsets, so it takes one exp per anchor.
-    A score is NaN where that shift cannot resolve the subset: a
-    denominator or a source's weight mass fell below ``_TINY``."""
+    ``anchors``, and each subset's largest squared attractor norm.  Every
+    bin is shifted by its largest anchor similarity, the same for all
+    subsets, so it takes one exp per anchor; a product with the subsets'
+    0/1 incidence matrix gives the denominators.  Only C - 1 weight rows
+    per subset are formed: its shares sum to w, so the last source's
+    numerator is ``v @ w`` less theirs, rounded relative to ``sum(w)``.  A
+    score is NaN where the subset is not resolved: a denominator or a mass
+    fell below ``_TINY``, or the last source's mass below 1e-3 of
+    ``sum(w)``, which bounds that amplification at 10^3."""
     n_sub, c = subsets.shape
-    ft = d.shape[1]
-    cols = max(1, _BLOCK_BYTES // (8 * n_sub * c))
+    n, (k, ft) = anchors.shape[0], v.shape
+    per_bin = n + n_sub * c                               # exps, dens, weights
+    cols = max(1, _BLOCK_BYTES // (8 * per_bin))
     w = np.broadcast_to(np.asarray(w, dtype=np.float64).reshape(-1), (ft,))
-    num = np.zeros((n_sub * c, v.shape[0]))               # sum of (y * w) v^T
-    mass = np.zeros(n_sub * c)                            # sum of y * w
-    ones = np.ones(cols)
+    incidence = (subsets[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.float64)
+    num = np.zeros((k, c, n_sub))                         # sum of v (y * w)^T
+    shares = np.zeros((n, n_sub))                         # sum of e * w / den
+    buf = np.empty(per_bin * min(cols, ft))
     unresolved = np.zeros(n_sub, dtype=bool)
     # an underflowed denominator gives inf and NaN here; its subset is
     # marked unresolved
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, ft, cols):
-            bins = slice(start, start + cols)
-            e = d[:, bins]
-            e = np.exp(e - np.fmax.reduce(e, axis=0))      # N x bins
-            den = e[subsets[:, 0]]                        # P x bins
-            for j in range(1, c):
-                den += e[subsets[:, j]]
-            unresolved |= np.any(den < _TINY, axis=1)
-            y = (e * w[bins])[subsets]                    # P x C x bins
-            y *= np.reciprocal(den, out=den)[:, None, :]
-            y = y.reshape(n_sub * c, -1)
-            mass += y @ ones[: y.shape[1]]
-            num += y @ v[:, bins].T
-        a = (num / mass[:, None]).reshape(n_sub, c, -1)   # P x C x K
+            vb = v[:, start : start + cols]
+            m = vb.shape[1]
+            e, den, y = np.split(buf[: per_bin * m], [n * m, (n + n_sub) * m])
+            e = np.matmul(anchors, vb, out=e.reshape(n, m))
+            e -= np.fmax.reduce(e, axis=0)
+            np.exp(e, out=e)                              # N x bins
+            den = np.matmul(incidence, e, out=den.reshape(n_sub, m))
+            unresolved |= np.fmin.reduce(den, axis=1) < _TINY
+            e *= w[start : start + m]
+            y = np.take(e, subsets.T[:-1], axis=0, mode="clip",  # no copy of out
+                        out=y.reshape(c - 1, n_sub, m))
+            shares += e @ np.reciprocal(den, out=den).T
+            y *= den
+            num[:, :-1] += (vb @ y.reshape(-1, m).T).reshape(k, c - 1, n_sub)
+        num[:, -1] = (v @ w)[:, None] - num[:, :-1].sum(axis=1)
+        mass = shares[subsets.T, np.arange(n_sub)]        # C x P
+        a = (num / mass).transpose(2, 1, 0)               # P x C x K
         gram = a @ a.transpose(0, 2, 1)
     scales = gram.diagonal(axis1=1, axis2=2).max(axis=1)
     s = gram[:, ~np.eye(c, dtype=bool)].max(axis=1) if c > 1 else np.zeros(n_sub)
-    unresolved |= np.any(~(mass.reshape(n_sub, c) >= _TINY), axis=1)
+    unresolved |= np.any(~(mass >= _TINY), axis=0)
+    unresolved |= mass[-1] < 1e-3 * w.sum()
     s[unresolved] = np.nan
     return s, scales
 

@@ -176,7 +176,10 @@ def _utterance_mags(pcm: dict, frames: tuple | None = None) -> tuple:
 
 
 def _chunks(frames: int, length: int) -> list:
-    """Non-overlapping chunk starts; a short utterance is one whole chunk."""
+    """Non-overlapping ``(start, length)`` chunks from frame 0; an utterance
+    no longer than ``length`` is one chunk.  The last ``frames % length``
+    frames are skipped (47 of 247 in phase 1): a remainder chunk would
+    change every model's trajectory."""
     if frames <= length:
         return [(0, frames)]
     return [(s, length) for s in range(0, frames - length + 1, length)]

@@ -282,18 +282,91 @@ class TestSelectAttractorSet:
         assert spy.call_count == 1
 
     def test_several_cache_blocks_match_brute_force(self):
-        # 56 subsets of 3 over 2,000 bins: blocks of 780, 780 and 440 bins
+        # 56 subsets of 3 over 2,000 bins, a block holding 8 exp rows, 56
+        # denominator rows and 112 weight rows: five blocks of 372 bins
+        # and one of 140
         rng = np.random.default_rng(17)
         anchors = rng.standard_normal((8, 5))
         v = np.tanh(rng.standard_normal((5, 2000)))
         w = (rng.uniform(size=2000) > 0.1).astype(float)
-        assert adanet._BLOCK_BYTES // (8 * 56 * 3) == 780
+        assert adanet._BLOCK_BYTES // (8 * (8 + 56 * 3)) == 372
         choice = select_attractor_set(anchors, v, w, 3)
         idx, sims, _, scales = brute_force_selection(anchors, v, w, 3)
         assert choice.subset_index == idx
         np.testing.assert_array_equal(choice.attractors,
                                       rebuilt_attractors(anchors, v, w, choice.subset))
         assert_scores_close(choice.similarities, sims, scales)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        c_frac=st.floats(0.0, 1.0),
+        k=st.integers(1, 8),
+        ft=st.integers(1, 300),
+        block_frac=st.floats(0.0, 1.0),
+        keep=st.floats(0.05, 1.0),
+        scale=st.floats(0.1, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_saturated_blocks_match_brute_force(self, n, c_frac, k, ft, block_frac,
+                                                keep, scale, seed):
+        # anchor similarities of tens: a source's softmax share is often
+        # far below 1e-3 of the retained mass, where the last source of a
+        # subset, derived from the totals, is rescored
+        c = 1 + int(c_frac * (n - 1))
+        bins_per_block = 1 + int(block_frac * (ft - 1))
+        rng = np.random.default_rng(seed)
+        anchors = rng.standard_normal((n, k)) * scale
+        v = np.tanh(rng.standard_normal((k, ft)))
+        w = (rng.uniform(size=ft) < keep).astype(float)
+        w[rng.integers(ft)] = 1.0
+        block_bytes = bins_per_block * 8 * (n + comb(n, c) * c)
+        with mock.patch.object(adanet, "_BLOCK_BYTES", block_bytes):
+            choice = select_attractor_set(anchors, v, w, c)
+        idx, sims, a, scales = brute_force_selection(anchors, v, w, c)
+        assert choice.subset_index == idx
+        np.testing.assert_array_equal(choice.attractors, a)
+        assert_scores_close(choice.similarities, sims, scales)
+        assert choice.similarities[idx] == sims[idx]
+
+    def test_derived_source_with_tiny_share_is_rescored(self):
+        # anchor 3 sits 14 or more below the others at every bin, so it
+        # takes under 1e-6 of every bin in each subset holding it, where it
+        # is the last source.  No denominator or mass is near _TINY: only
+        # the derived-share guard marks those subsets.
+        t = np.linspace(0.0, 1.0, 41)
+        v = np.vstack([np.ones_like(t), t])
+        anchors = np.array([[5.0, 1.0], [4.0, -1.0], [3.0, 2.0], [-12.0, 0.0]])
+        w = np.ones(41)
+        subsets = enumerate_subsets(4, 2)
+        y = assignments_from_anchors(anchors, v)
+        assert y[3].max() < 1e-6
+        fast, _ = adanet._subset_scores(anchors, v, w, np.array(subsets))
+        np.testing.assert_array_equal(np.isnan(fast), [3 in s for s in subsets])
+        with mock.patch.object(adanet, "form_attractors", wraps=form_attractors) as spy:
+            choice = select_attractor_set(anchors, v, w, 2)
+        assert spy.call_count >= 3
+        idx, sims, a, _ = brute_force_selection(anchors, v, w, 2)
+        for p, s in enumerate(subsets):
+            if 3 in s:
+                assert choice.similarities[p] == sims[p]
+        assert choice.subset_index == idx
+        np.testing.assert_array_equal(choice.attractors, a)
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_real_size_matches_brute_force(self, c):
+        # the benchmark's model: K = 20, 6 anchors, a 2 s mixture of 247
+        # frames of 129 bins
+        rng = np.random.default_rng(24 + c)
+        anchors = rng.standard_normal((6, 20)) * 2.0
+        v = np.tanh(rng.standard_normal((20, 129 * 247)))
+        w = (rng.uniform(size=129 * 247) < 0.9).astype(float)
+        choice = select_attractor_set(anchors, v, w, c)
+        idx, sims, a, scales = brute_force_selection(anchors, v, w, c)
+        assert choice.subset_index == idx
+        np.testing.assert_array_equal(choice.attractors, a)
+        assert_scores_close(choice.similarities, sims, scales)
+        assert choice.similarities[idx] == sims[idx]
 
     def test_single_source_scores_zero_and_first_wins(self):
         rng = np.random.default_rng(18)

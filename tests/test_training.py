@@ -20,6 +20,7 @@ from danet.training import (
     TrainerState,
     TrainSettings,
     TrainingDiverged,
+    _chunks,
     _release_freed_memory,
     _utterance_mags,
     load_corpus,
@@ -348,6 +349,16 @@ class TestReleaseFreedMemory:
         _release_freed_memory()
         assert before - _resident_mb() > 18.0
         assert all(a[0] == 1.0 for a in kept)
+
+
+class TestChunks:
+    def test_remainder_frames_are_skipped(self):
+        # a 2 s utterance has 247 frames: phase 1 trains on frames 0-199
+        # and skips the last 47; a chunk no longer than the utterance is
+        # the whole utterance
+        assert _chunks(247, 100) == [(0, 100), (100, 100)]
+        assert _chunks(100, 100) == [(0, 100)]
+        assert _chunks(50, 100) == [(0, 50)]
 
 
 class TestChunkSpectrogram:
