@@ -60,10 +60,10 @@ class Checkpoint:
         from only until the next step: save it before then."""
         arrays = {}
         for name, p in net.params.items():
-            arrays[f"param/{name}"] = p.data
+            arrays[f"param/{name}"] = p
             arrays[f"best/{name}"] = best[name]
-            arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p.data))
-            arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p.data))
+            arrays[f"adam_m/{name}"] = opt.m.get(name, np.zeros_like(p))
+            arrays[f"adam_v/{name}"] = opt.v.get(name, np.zeros_like(p))
         if fixed_table is not None:
             arrays["fixed_attractors"] = np.asarray(fixed_table)
         return cls(

@@ -416,7 +416,7 @@ def cmd_diagnose(opts) -> int:
         for i in range(att_proj.shape[0]):
             writer.writerow(["attractor", i, *pad(att_proj[i]), i, 1])
         if net.n_anchors:
-            anchor_proj = pca.project(net.anchors.data)
+            anchor_proj = pca.project(net.anchors)
             for j in range(anchor_proj.shape[0]):
                 writer.writerow(["anchor", j, *pad(anchor_proj[j]), -1, 1])
     print(f"wrote {v.shape[1]} bin rows + {att_proj.shape[0]} attractors + "

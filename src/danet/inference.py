@@ -13,7 +13,6 @@ import numpy as np
 
 from .adanet import select_attractor_set
 from .attractor import estimate_masks, similarity_scores, threshold_vector
-from .autograd import no_grad
 from .dsp import Waveform, flatten_tf, log_magnitude, reconstruct, stft
 from .nn import EmbedNet
 
@@ -213,13 +212,12 @@ def embed_mixture(net: EmbedNet, mixture: Waveform, q: float = 0.9) -> tuple:
     """The front end of separation: ``(spec, v, w)`` for one mixture.
 
     ``spec`` is the mixture STFT, ``v`` the K x FT embeddings of its
-    log-magnitude (computed without a gradient tape), and ``w`` the
-    threshold vector keeping the loudest fraction ``q`` of its bins.
+    log-magnitude, and ``w`` the threshold vector keeping the loudest
+    fraction ``q`` of its bins.
     """
     spec = stft(mixture)
     mag = np.abs(spec)
-    with no_grad():
-        v = net.embed(log_magnitude(mag)).data
+    v = net.embed(log_magnitude(mag))
     return spec, v, threshold_vector(flatten_tf(mag), q)
 
 
@@ -252,7 +250,7 @@ def separate(
             raise ValueError("anchored strategy requires a model with anchors")
         if c > net.n_anchors:
             raise ValueError(f"C={c} exceeds the {net.n_anchors} anchors")
-        attractors = select_attractor_set(net.anchors.data, v, w, c).attractors
+        attractors = select_attractor_set(net.anchors, v, w, c).attractors
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, dense_tanh
+from .autograd import dense_tanh, dense_tanh_backward
 from .dsp import N_FREQ
 
 __all__ = [
@@ -33,13 +33,15 @@ class EmbedNetConfig:
     mask_nl: str = "softmax"               # mask nonlinearity: softmax | sigmoid
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-        if self.context < 0:
-            raise ValueError("context must be >= 0")
-        if self.mask_nl not in ("softmax", "sigmoid"):
-            raise ValueError("mask_nl must be 'softmax' or 'sigmoid'")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        rules = (("embed_dim", self.embed_dim >= 1, ">= 1"), ("n_freq", self.n_freq >= 1, ">= 1"),
+                 ("context", self.context >= 0, ">= 0"),
+                 ("hidden_sizes", all(h >= 1 for h in self.hidden_sizes), ">= 1 each"),
+                 ("mask_nl", self.mask_nl in ("softmax", "sigmoid"), "'softmax' or 'sigmoid'"))
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"EmbedNetConfig.{name} must be {rule}, got "
+                                 f"{getattr(self, name)!r}")
 
     @property
     def input_dim(self) -> int:
@@ -117,41 +119,67 @@ class EmbedNet:
     def _hold(self, config: EmbedNetConfig, n_anchors: int, arrays: dict):
         self.config = config
         self.n_anchors = n_anchors
-        self.params: dict[str, Tensor] = {
-            name: Tensor(arrays[name], requires_grad=True)
-            for name in config.param_shapes(n_anchors)
-        }
+        self.params = {name: arrays[name] for name in config.param_shapes(n_anchors)}
+        self.grads = {}   # name -> its gradient, in an array kept for the run
 
     @property
-    def anchors(self) -> Tensor:
+    def anchors(self) -> np.ndarray:
         if self.n_anchors == 0:
             raise ValueError("this model has no anchor points")
         return self.params["anchors"]
 
     def n_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return sum(p.size for p in self.params.values())
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+    def grad(self, name: str) -> np.ndarray:
+        """The array ``grads`` keeps for parameter ``name``'s gradient."""
+        if name not in self.grads:
+            self.grads[name] = np.empty(self.params[name].shape)
+        return self.grads[name]
 
-    def embed(self, features: np.ndarray) -> Tensor:
-        """Embeddings for every T-F bin: (F, T) features -> (K, F*T) tensor.
+    def _layers(self) -> list:
+        """``(weight, bias, blocks)`` of each dense layer, input first."""
+        hidden = [(f"w{i}", f"b{i}", None) for i in range(len(self.config.hidden_sizes))]
+        return [*hidden, ("w_out", "b_out", self.config.embed_dim)]
+
+    def embed(self, features: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """Embeddings for every T-F bin: (F, T) features -> (K, F*T) array.
 
         Column ``t*F + f`` holds the embedding of bin (f, t), matching the
         flattening convention in :mod:`danet.dsp`.  The embedding layer is
         tanh-bounded: squashing V into [-1, 1]^K keeps per-source bins in
-        compact regions that euclidean clustering can recover.
+        compact regions that euclidean clustering can recover.  The
+        training forward passes a list ``acts``: each layer's input is
+        appended to it, the first layer's first, and then V, for
+        :meth:`backward`.
         """
         cfg = self.config
         f, t = features.shape
         if f != cfg.n_freq:
             raise ValueError(f"features have {f} rows, config expects {cfg.n_freq}")
-        h = context_stack(standardize(features), cfg.context)  # constant input
-        for i in range(len(cfg.hidden_sizes)):
-            h = dense_tanh(self.params[f"w{i}"], h, self.params[f"b{i}"])
-        return dense_tanh(self.params["w_out"], h, self.params["b_out"],
-                          blocks=cfg.embed_dim)
+        h = context_stack(standardize(features), cfg.context)
+        for w, b, blocks in self._layers():
+            if acts is not None:
+                acts.append(h)
+            h = dense_tanh(self.params[w], h, self.params[b], blocks)
+        if acts is not None:
+            acts.append(h)
+        return h
+
+    def backward(self, acts: list) -> None:
+        """The layers' backward: :func:`danet.autograd.dense_tanh_backward`
+        per layer, output layer first, into :meth:`grad`'s arrays.
+
+        ``acts`` holds what :meth:`embed` appended and, on top, dL/dV,
+        which is overwritten.  It is popped as the sweep passes, so each
+        layer's arrays go once the sweep is done with them.
+        """
+        g, value = acts.pop(), acts.pop()
+        for w, b, blocks in reversed(self._layers()):
+            x = acts.pop()
+            g = dense_tanh_backward(self.params[w], x, value, g, self.grad(w),
+                                    self.grad(b), blocks, need_dx=bool(acts))
+            value = x
 
 
 @dataclass
@@ -165,32 +193,33 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, state: AdamState) -> AdamState:
+def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     """One bias-corrected Adam update, in place on parameters and moments.
 
-    Parameters with no accumulated gradient this step are treated as
-    having a zero gradient.  Each parameter is updated a block of rows at a
-    time through two scratch arrays, by the formula's operations in its
-    order, so the result is bitwise that of the out-of-place update.
+    ``params`` and ``grads`` map names to arrays; a parameter without an
+    entry in ``grads`` is treated as having a zero gradient.  Each
+    parameter is updated a block of rows at a time through two scratch
+    arrays, by the formula's operations in its order, so the result is
+    bitwise that of the out-of-place update.
     """
     state.step += 1
     b1, b2, t = state.beta1, state.beta2, state.step
     for name, p in params.items():
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        if state.m[name].shape != p.data.shape:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        if state.m[name].shape != p.shape:
             raise ValueError(
                 f"optimizer state for '{name}' has shape {state.m[name].shape}, "
-                f"parameter has {p.data.shape}"
+                f"parameter has {p.shape}"
             )
-        m, v, n = state.m[name], state.v[name], len(p.data)
+        m, v, n, grad = state.m[name], state.v[name], len(p), grads.get(name)
         # blocks of 16384 entries: their slices and the scratch stay in cache
-        rows = max(1, min(n, 16384 * n // max(p.data.size, 1)))
-        s1, s2 = np.empty((2, rows, *p.data.shape[1:]))
+        rows = max(1, min(n, 16384 * n // max(p.size, 1)))
+        s1, s2 = np.empty((2, rows, *p.shape[1:]))
         for i in range(0, n, rows):
-            g = 0.0 if p.grad is None else p.grad[i : i + rows]
-            x, mb, vb = (arr[i : i + rows] for arr in (p.data, m, v))
+            g = 0.0 if grad is None else grad[i : i + rows]
+            x, mb, vb = (arr[i : i + rows] for arr in (p, m, v))
             a, b = s1[: len(x)], s2[: len(x)]
             mb *= b1
             mb += np.multiply(1 - b1, g, out=a)

@@ -24,7 +24,7 @@ from .attractor import (
     softmax_parts,
     threshold_vector,
 )
-from .autograd import Tensor, fused, no_grad
+from .autograd import Tensor
 from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
 from .dsp import (
     HOP,
@@ -108,6 +108,16 @@ class TrainSettings:
             mask_nl=self.mask_nl,
         )
 
+    def __post_init__(self):
+        """Refuse, naming the field, a setting no corpus could train with."""
+        if not (0 < self.q <= 1):
+            raise ValueError(f"TrainSettings.q must lie in (0, 1], got {self.q!r}")
+        for name in ("chunk_short", "chunk_long", "slots"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"TrainSettings.{name} must be >= 1, got {value!r}")
+        self.embed_config()   # EmbedNetConfig refuses a bad architecture field
+
 
 @dataclass
 class TrainerState:
@@ -186,7 +196,7 @@ def _chunks(frames: int, length: int) -> list:
 
 
 def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
-                  q: float = 0.9, slots: int | None = None) -> Tensor:
+                  q: float = 0.9, slots: int | None = None, record: bool = True) -> Tensor:
     """Differentiable reconstruction loss of one chunk, for either model.
 
     ``mix_mag`` is the F x T mixture magnitude, ``source_mags`` is
@@ -196,8 +206,9 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     (ADANet) fills ``slots`` outputs (default C): sources it lacks get
     all-zero target masks, the attractors are those of the anchor subset
     that wins selection on the embeddings, and the loss is minimized over
-    target permutations.  Everything after the embedding is one tape node
-    (:func:`_loss_node`).
+    target permutations.  Everything after the embedding is one loss
+    node (:func:`_loss_node`).  With ``record=False`` (validation) the
+    forward keeps nothing for a backward, and the result is the loss alone.
     """
     anchored = net.n_anchors > 0
     c = len(source_mags)
@@ -207,54 +218,57 @@ def training_loss(net: EmbedNet, mix_mag: np.ndarray, source_mags: np.ndarray,
     src_flat = np.stack([flatten_tf(s) for s in source_mags])
     x_flat = flatten_tf(mix_mag)
     target = wfm(src_flat)
-    v = net.embed(log_magnitude(mix_mag))
+    acts = [] if record else None
+    v = net.embed(log_magnitude(mix_mag), acts)
     w = threshold_vector(x_flat, q)
-    nl = net.config.mask_nl
     if not anchored:
         y = ibm(src_flat)
-        return _loss_node(v, x_flat, target, w, nl, form_attractors(v.data, y, w), y=y)
+        return _loss_node(net, v, acts, x_flat, target, w, form_attractors(v, y, w), y=y)
     target = np.vstack([target, np.zeros((slots - c, target.shape[1]))])
-    selection = select_attractor_set(net.anchors.data, v.data, w, slots)
-    return _loss_node(v, x_flat, target, w, nl, selection.attractors,
-                      anchors=net.anchors, rows=list(selection.subset))
+    selection = select_attractor_set(net.anchors, v, w, slots)
+    return _loss_node(net, v, acts, x_flat, target, w, selection.attractors,
+                      rows=list(selection.subset))
 
 
-def _loss_node(v: Tensor, x: np.ndarray, target: np.ndarray, w: np.ndarray, nl: str,
-               a: np.ndarray, y: np.ndarray | None = None, anchors: Tensor | None = None,
-               rows: list | None = None) -> Tensor:
-    """The loss after the embeddings ``v``, as one tape node.
+def _loss_node(net: EmbedNet, vd: np.ndarray, acts: list | None, x: np.ndarray,
+               target: np.ndarray, w: np.ndarray, a: np.ndarray,
+               y: np.ndarray | None = None, rows: list | None = None) -> Tensor:
+    """The loss after the embeddings ``vd``, with its rule when the
+    forward kept ``acts`` (V last) for the backward.
 
     ``a`` are the attractors: DANet's from its oracle assignment ``y``,
-    ADANet's those of the anchor ``rows`` of ``anchors`` that won
+    ADANet's those of the anchor ``rows`` of ``net.anchors`` that won
     selection (the backward pass rebuilds that subset's assignment, bitwise
     as the selection built it).  The loss pairs each target with one
     estimate: DANet's with the same-index one, ADANet's as the PIT winner
     does, and only that pairing is differentiated.  The backward rules are
     the closed forms of the formulas in :mod:`danet.attractor`, each
     product and sum in the order the chain rule takes them one operation
-    at a time, so the gradients are bitwise that chain's; they return
-    dL/dV and, for ADANet, dL/d(anchors).  The node holds only what
-    they read, and the sweep frees it once passed.
+    at a time, so the gradients are bitwise that chain's.  The rule writes
+    dL/d(anchors) for ADANet and returns dL/dV; it holds only what it
+    reads, and :meth:`Tensor.backward` drops it once it has run.
     """
-    vd = v.data
+    nl, anchored = net.config.mask_nl, rows is not None
     d = similarity_scores(a, vd)
     if nl == "softmax":
         e, s = softmax_parts(d)
         masks = e / s
     else:
         masks = estimate_masks(d, nl)
-    if anchors is None:
+    if not anchored:
         loss, perm = reconstruction_loss(x, target, masks), range(len(masks))
     else:
         loss, perm = pit_loss(x, target, masks)
+    if acts is None:
+        return Tensor(loss)
     x, w = x.reshape(1, -1), w.reshape(1, -1)
 
-    def backward(g):
+    def rule():
         # loss = (1/C) * sum over the pairs of ||x * (target - mask)||^2
         paired = np.empty_like(target)
         paired[list(perm)] = target            # estimate perm[i] meets target i
         dm = x * (paired - masks)
-        dm *= g / len(masks) * 2
+        dm *= 2 / len(masks)
         dm *= x
         np.negative(dm, out=dm)
         # masks of the scores d = a @ V
@@ -262,28 +276,29 @@ def _loss_node(v: Tensor, x: np.ndarray, target: np.ndarray, w: np.ndarray, nl: 
         dv = a.T @ dd
         da = dd @ vd.T
         # a = (weights @ V.T) / mass, weights = Y * w, mass their row sums
-        if anchors is None:
+        if not anchored:
             weights = y * w
         else:
-            chosen = anchors.data[rows]
+            chosen = net.anchors[rows]
             e0, s0 = softmax_parts(chosen @ vd)   # Y = e0 / s0
             weights = (e0 / s0) * w
         mass = weights.sum(axis=1, keepdims=True)
         dnum = da / mass
         dv += (weights.T @ dnum).T
-        if anchors is None:
-            return (dv,)
+        if not anchored:
+            return dv
         dweights = dnum @ vd
         dweights += ((-da) * (weights @ vd.T) / (mass * mass)).sum(axis=1, keepdims=True)
         dweights *= w
         # Y is the softmax of chosen @ V
         dd0 = _softmax_backward(dweights, e0, s0)
         dv += chosen.T @ dd0
-        danchors = np.zeros_like(anchors.data)
+        danchors = net.grad("anchors")
+        danchors[...] = 0.0
         danchors[rows] += dd0 @ vd.T
-        return dv, danchors
+        return dv
 
-    return fused(loss, (v,) if anchors is None else (v, anchors), backward)
+    return Tensor(loss, rule, net, acts)
 
 
 def _softmax_backward(dm: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -300,9 +315,8 @@ def train_step(net: EmbedNet, opt: AdamState, mix_mag: np.ndarray,
                slots: int | None = None) -> float:
     """One Adam step on :func:`training_loss`; returns the loss."""
     loss = training_loss(net, mix_mag, source_mags, q, slots)
-    net.zero_grad()
     loss.backward()
-    adam_step(net.params, opt)
+    adam_step(net.params, net.grads, opt)
     return loss.item()
 
 
@@ -311,9 +325,8 @@ def _validation_loss(net, settings, slots, corpus) -> float:
     total = 0.0
     for item in corpus:
         mix_mag, src_mags = _utterance_mags(read_utterance(item))
-        with no_grad():
-            loss = training_loss(net, mix_mag, src_mags, settings.q, slots).item()
-        total += loss / mix_mag.size
+        loss = training_loss(net, mix_mag, src_mags, settings.q, slots, record=False)
+        total += loss.item() / mix_mag.size
     return total / len(corpus)
 
 
@@ -376,9 +389,8 @@ def _epoch_zero(settings: TrainSettings, slots: int, n_anchors: int) -> Checkpoi
     """The checkpoint a fresh run starts from: the seeded net, zero Adam
     moments, the best parameters equal to the current ones, no epoch run."""
     net = EmbedNet(settings.embed_config(), seed=settings.seed, n_anchors=n_anchors)
-    best = {name: p.data for name, p in net.params.items()}
     return Checkpoint.of_training(settings.model, slots, net, AdamState(lr=settings.lr),
-                                  best, None, 0, asdict(TrainerState()))
+                                  dict(net.params), None, 0, asdict(TrainerState()))
 
 
 def train(
@@ -395,8 +407,6 @@ def train(
     the checkpoint at ``ckpt_path`` is loaded instead, and the log file is
     appended.  Returns the final checkpoint (best parameters included).
     """
-    if not (0 < settings.q <= 1):
-        raise ValueError(f"TrainSettings.q must lie in (0, 1], got {settings.q!r}")
     train_corpus = load_corpus(train_rows)
     val_corpus = load_corpus(val_rows)
     if not train_corpus or not val_corpus:
@@ -429,9 +439,8 @@ def train(
             epoch += 1
             state.epoch_in_phase += 1
             # Adam steps in place: move the parameters off the best snapshot
-            if any(p.data is best[name] for name, p in net.params.items()):
-                for p in net.params.values():
-                    p.data = p.data.copy()
+            if any(p is best[name] for name, p in net.params.items()):
+                net.params = {name: p.copy() for name, p in net.params.items()}
             chunk_len = (settings.chunk_short if state.phase == 1
                          else settings.chunk_long)
 
@@ -461,7 +470,7 @@ def train(
             improved = best_val is None or val_loss < best_val
             if improved:
                 best_val = val_loss
-                best = {name: p.data for name, p in net.params.items()}
+                best = dict(net.params)
                 state.since_best = 0
                 state.since_best_lr = 0
             else:

@@ -163,16 +163,11 @@ def test_criterion_1_stft_roundtrip():
 
 
 def _gradient_fidelity(make_loss, net, h=1e-4):
-    loss = make_loss()
-    net.zero_grad()
-    loss.backward()
-    grads = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in net.params.items()
-    }
+    make_loss().backward()
+    grads = {name: g.copy() for name, g in net.grads.items()}
     total, good, worst = 0, 0, 0.0
     for name, p in net.params.items():
-        flat = p.data.reshape(-1)
+        flat = p.reshape(-1)
         gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
@@ -481,7 +476,7 @@ def test_supplementary_trained_embeddings_cluster(danet_model, corpus):
     mixture = wav_read(row["mixture_path"])
     refs = [wav_read(p) for p in row["source_paths"]]
     mag = np.abs(stft(mixture))
-    v = net.embed(log_magnitude(mag)).data
+    v = net.embed(log_magnitude(mag))
     w = threshold_vector(flatten_tf(mag), 0.9)
     src = np.stack([flatten_tf(np.abs(stft(r))) for r in refs])
     labels = ibm(src).argmax(axis=0)

@@ -24,7 +24,6 @@ from danet.attractor import (
     similarity_scores,
     threshold_vector,
 )
-from danet.autograd import no_grad
 from danet.dsp import Waveform, flatten_tf, log_magnitude
 from danet.masks import wfm
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
@@ -547,22 +546,25 @@ class TestAdanetTrainStep:
     def test_anchors_receive_gradient(self):
         mix, src = toy_mixture(seed=11)
         net = EmbedNet(TINY, seed=12, n_anchors=6)
-        before = net.anchors.data.copy()
+        before = net.anchors.copy()
         train_step(net, AdamState(lr=1e-3), mix, src, slots=2)
-        assert not np.array_equal(net.anchors.data, before)
+        assert not np.array_equal(net.anchors, before)
 
     @pytest.mark.parametrize("slots", [2, 3])
     def test_untaped_loss_scores_the_selection_attractors(self, slots):
-        # with a tape or without, the loss takes the winner's attractors
-        # from the selection; only the backward pass rebuilds its assignment
+        # the loss takes the winner's attractors from the selection, whether
+        # a backward follows (training) or not (validation); only the
+        # backward pass rebuilds the winner's assignment, from its anchor rows
         mix, src = toy_mixture(seed=17)
         net = EmbedNet(TINY, seed=18, n_anchors=6)
         with mock.patch("danet.training.form_attractors",
                         side_effect=AssertionError("rebuilt the winner")):
-            taped = training_loss(net, mix, src, slots=slots).item()
-            with no_grad():
-                untaped = training_loss(net, mix, src, slots=slots).item()
-        assert untaped == taped
+            untaped = training_loss(net, mix, src, slots=slots, record=False)
+            loss = training_loss(net, mix, src, slots=slots)
+            loss.backward()
+        assert loss.item() == untaped.item()
+        with pytest.raises(RuntimeError, match="keeps no backward"):
+            untaped.backward()
 
     def test_more_sources_than_slots_rejected(self):
         mix, src = toy_mixture(seed=13, c=3)
@@ -575,10 +577,10 @@ class TestAdanetTrainStep:
         # subset's masks against the two WFM targets plus one all-zero row
         mix, src = toy_mixture(seed=15, c=2)
         net = EmbedNet(TINY, seed=16, n_anchors=6)
-        v = net.embed(log_magnitude(mix)).data
+        v = net.embed(log_magnitude(mix))
         x = flatten_tf(mix)
         w = threshold_vector(x, 0.9)
-        choice = select_attractor_set(net.anchors.data, v, w, 3)
+        choice = select_attractor_set(net.anchors, v, w, 3)
         assert len(choice.subset) == 3
         est = estimate_masks(similarity_scores(choice.attractors, v), "softmax")
         targets = np.vstack([wfm(np.stack([flatten_tf(s) for s in src])),

@@ -1,13 +1,16 @@
-"""Tape checks: dense_tanh against finite differences, and the sweep's
-contract on fused nodes."""
+"""The explicit backward: dense_tanh's rule against finite differences and
+the frame-major code it replaced, and the loss Tensor's contract."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from danet.autograd import Tensor, dense_tanh, fused, no_grad
+import danet.nn
+from danet.autograd import Tensor, dense_tanh, dense_tanh_backward
 from danet.nn import EmbedNet, EmbedNetConfig
+
+TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -26,19 +29,25 @@ def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-def weighted_sum(t: Tensor, weights) -> Tensor:
-    """``sum(t * weights)`` as one fused node."""
-    return fused(np.sum(t.data * weights), (t,), lambda g: (g * weights,))
+def backward_of(w, x, b, g, blocks=None, need_dx=True):
+    """``dense_tanh``'s (dw, dx, db) for its output's gradient ``g``."""
+    value = dense_tanh(w, x, b, blocks)
+    dw, db = np.empty(w.shape), np.empty(b.shape)
+    dx = dense_tanh_backward(w, x, value, g, dw, db, blocks, need_dx)
+    return dw, dx, db
 
 
-def sum_of_squares(t: Tensor) -> Tensor:
-    """``sum(t**2)`` as one fused node."""
-    return fused(np.sum(t.data * t.data), (t,), lambda g: (2.0 * g * t.data,))
+def weighted_loss(net: EmbedNet, feats: np.ndarray, weights: np.ndarray) -> Tensor:
+    """``sum(V * weights)`` of ``net``'s embeddings, with its backward."""
+    acts = []
+    v = net.embed(feats, acts)
+    return Tensor(np.sum(v * weights), lambda: weights.copy(), net, acts)
 
 
 class TestDenseTanh:
-    """``dense_tanh`` against finite differences, in both output layouts
-    and for every mix of parents that require a gradient."""
+    """``dense_tanh_backward`` against finite differences, in both output
+    layouts, for every mix of the operands w, x, b that it is checked on.
+    dL/dx is asked for only when x is checked."""
 
     # (blocks, rows of w): plain R x T output, and K=3 blocks of F=2 rows
     LAYOUTS = [(None, 4), (3, 6)]
@@ -50,38 +59,38 @@ class TestDenseTanh:
         rng = np.random.default_rng(7)
         arrays = [rng.uniform(-0.8, 0.8, (rows, 5)), rng.uniform(-1.0, 1.0, (5, 3)),
                   rng.uniform(-0.5, 0.5, (rows, 1))]
-        shape = dense_tanh(*map(Tensor, arrays), blocks=blocks).data.shape
-        weights = rng.standard_normal(shape)
-
-        def loss_of(w, x, b):
-            return weighted_sum(dense_tanh(w, x, b, blocks=blocks), weights)
-
-        tensors = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, mix)]
-        loss_of(*tensors).backward()
-        for i, (t, needs) in enumerate(zip(tensors, mix)):
-            if not needs:
-                assert t.grad is None
+        weights = rng.standard_normal(dense_tanh(*arrays, blocks).shape)
+        grads = backward_of(*(a.copy() for a in arrays), weights.copy(), blocks,
+                            need_dx=mix[1])
+        for i, (grad, checked) in enumerate(zip(grads, mix)):
+            if i == 1 and not checked:
+                assert grad is None
+            if not checked:
                 continue
 
             def f(arr, i=i):
-                args = [Tensor(a) for a in arrays]
-                args[i] = Tensor(arr)
-                return loss_of(*args).item()
+                args = list(arrays)
+                args[i] = arr
+                return np.sum(dense_tanh(*args, blocks) * weights)
 
-            np.testing.assert_allclose(t.grad, numeric_grad(f, arrays[i].copy()),
+            np.testing.assert_allclose(grad, numeric_grad(f, arrays[i].copy()),
                                        atol=1e-6)
 
     def test_frame_major_layout(self):
         rng = np.random.default_rng(8)
         w, x, b = (rng.standard_normal(shape) for shape in ((6, 4), (4, 5), (6, 1)))
         plain = np.tanh(w @ x + b)                       # (K*F, T), K=3, F=2
-        framed = dense_tanh(Tensor(w), x, Tensor(b), blocks=3).data
+        framed = dense_tanh(w, x, b, blocks=3)
         np.testing.assert_array_equal(
             framed, plain.reshape(3, 2, 5).transpose(0, 2, 1).reshape(3, 10))
 
     def test_no_parent_needing_gradient_records_nothing(self):
-        out = dense_tanh(Tensor(np.ones((2, 3))), np.ones((3, 4)), Tensor(np.zeros((2, 1))))
-        assert not out.requires_grad and out._parents == ()
+        # the forward is a plain array; a first layer asks no dL/dx
+        w, x, b = np.ones((2, 3)), np.ones((3, 4)), np.zeros((2, 1))
+        out = dense_tanh(w, x, b)
+        assert type(out) is np.ndarray
+        assert dense_tanh_backward(w, x, out, np.ones((2, 4)), np.empty((2, 3)),
+                                   np.empty((2, 1)), need_dx=False) is None
 
 
 def frame_major_oracle(w, x, b, blocks, g):
@@ -122,152 +131,129 @@ class TestDenseTanhInPlace:
         w, x, b, g = self.arrays(k, t, seed=k * 1000 + t)
         want = frame_major_oracle(w, x, b, k, g if handed != "two consumers"
                                   else 0.25 * g + 0.75 * g)
-        tw, tx, tb = (Tensor(a.copy(), requires_grad=True) for a in (w, x, b))
-        v = dense_tanh(tw, tx, tb, blocks=k)
-        assert v.data.tobytes() == want[0].tobytes()
-        value = v.data.copy()
+        v = dense_tanh(w, x, b, blocks=k)
+        assert v.tobytes() == want[0].tobytes()
+        value = v.copy()
         if handed == "row-major":
-            loss = fused(0.0, (v,), lambda _: (g.copy(),))
+            given = g.copy()
         elif handed in ("column-major", "read-only"):
             given = np.asfortranarray(g.copy()) if handed == "column-major" else g.copy()
             given.flags.writeable = handed != "read-only"
-            loss = fused(0.0, (v,), lambda _: (given,))
-        else:   # v.grad is the sum of two gradients, summed by the sweep
-            parts = [fused(0.0, (v,), lambda _, s=s: (s * g,)) for s in (0.25, 0.75)]
-            loss = fused(0.0, tuple(parts), lambda gr: (gr.copy(), gr.copy()))
-        loss.backward()
-        for tensor, expected in zip((tw, tx, tb), want[1:]):
-            assert tensor.grad.tobytes() == expected.tobytes()
-        assert v.data.tobytes() == value.tobytes()     # the value is left as it was
+        else:   # a gradient summed from two terms, as the loss rule's dL/dV is
+            given = 0.25 * g + 0.75 * g
+        dw, db = np.empty(w.shape), np.empty(b.shape)
+        dx = dense_tanh_backward(w, x, v, given, dw, db, blocks=k)
+        for got, expected in zip((dw, dx, db), want[1:]):
+            assert got.tobytes() == expected.tobytes()
+        assert v.tobytes() == value.tobytes()          # the value is left as it was
         if handed == "read-only" or (handed == "column-major"
                                      and not given.flags.c_contiguous):
             assert given.tobytes() == g.tobytes()       # copied, not written
 
-    def test_leaf_with_a_gradient_in_the_sweep_accumulates(self):
-        # w feeds two layers, so its second gradient must be added to the
-        # first, not written over it into the array w keeps; again on a
-        # second sweep that reuses that array
-        w, x, b, g = self.arrays(3, 5, seed=1)
-        x2 = np.random.default_rng(2).standard_normal(x.shape)
-        singles = []
-        for xi in (x, x2):
-            tw = Tensor(w.copy(), requires_grad=True)
-            weighted_sum(dense_tanh(tw, xi, Tensor(b), blocks=3), g).backward()
-            singles.append(tw.grad)
-        tw = Tensor(w.copy(), requires_grad=True)
-        for sweep in range(2):
-            tw.grad = None
-            out = [dense_tanh(tw, xi, Tensor(b), blocks=3) for xi in (x, x2)]
-            fused(0.0, tuple(out), lambda _: (g.copy(), g.copy())).backward()
-            assert tw.grad.tobytes() == (singles[0] + singles[1]).tobytes()
-        # with no gradient in between, a sweep adds to the one already there
-        weighted_sum(dense_tanh(tw, x, Tensor(b), blocks=3), g).backward()
-        assert tw.grad.tobytes() == (singles[0] + singles[1] + singles[0]).tobytes()
-
     def test_leaf_gradient_lands_in_the_array_it_keeps(self):
-        w, x, b, g = self.arrays(3, 5, seed=3)
-        tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        # every weight and bias gradient is written into the array the net
+        # keeps for it, step after step
+        net = EmbedNet(TINY, seed=3)
+        rng = np.random.default_rng(4)
+        feats, weights = rng.standard_normal((7, 5)), rng.standard_normal((4, 35))
         held = []
         for _ in range(2):
-            tw.grad = tb.grad = None
-            weighted_sum(dense_tanh(tw, x, tb, blocks=3), g).backward()
-            held.append((tw.grad, tb.grad))
-        assert held[0][0] is held[1][0] and held[0][1] is held[1][1]
+            weighted_loss(net, feats, weights).backward()
+            held.append(dict(net.grads))
+        assert held[0].keys() == net.params.keys()
+        for name, arr in held[0].items():
+            assert held[1][name] is arr, name
 
 
 class TestAnalyticCases:
     def test_sum_of_squares_gradient(self):
-        p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        sum_of_squares(p).backward()
-        np.testing.assert_allclose(p.grad, [2.0, -4.0, 6.0])
+        # one output layer, K = F = 1: V = tanh(w x + b) and L = sum(V**2),
+        # so dL/dw = sum(2 V (1 - V**2) x) and dL/db = sum(2 V (1 - V**2))
+        cfg = EmbedNetConfig(context=0, hidden_sizes=(), embed_dim=1, n_freq=1)
+        net = EmbedNet(cfg, seed=0)
+        feats = np.array([[0.5, -1.0, 2.0]])
+        acts = []
+        v = net.embed(feats, acts)
+        x = acts[0]                                       # the standardized features
+        Tensor(np.sum(v * v), lambda: 2.0 * v, net, acts).backward()
+        slope = 2.0 * v * (1.0 - v * v)
+        np.testing.assert_allclose(net.grads["w_out"], [[np.sum(slope * x)]])
+        np.testing.assert_allclose(net.grads["b_out"], [[np.sum(slope)]])
 
-    def test_unused_parameter_gets_no_gradient(self):
-        used = Tensor(np.ones(3), requires_grad=True)
-        unused = Tensor(np.ones(3), requires_grad=True)
-        weighted_sum(used, 2.0).backward()
-        assert unused.grad is None
-        np.testing.assert_allclose(used.grad, 2.0)
+    def test_constant_matmul_operand_keeps_no_gradient(self, monkeypatch):
+        # the first layer's input is a constant: its backward forms no dL/dx
+        net = EmbedNet(TINY, seed=5)
+        rng = np.random.default_rng(6)
+        loss = weighted_loss(net, rng.standard_normal((7, 5)),
+                             rng.standard_normal((4, 35)))
+        seen = []
 
-    def test_constant_matmul_operand_keeps_no_gradient(self):
-        w = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.zeros((2, 1)))
-        x = Tensor(np.ones((3, 4)))
-        weighted_sum(dense_tanh(w, x, b), 1.0).backward()
-        assert x.grad is None and b.grad is None and w.grad is not None
+        def record(*args, **kwargs):
+            dx = dense_tanh_backward(*args, **kwargs)
+            seen.append(dx is None)
+            return dx
 
-    def test_grad_accumulates_over_shared_subexpression(self):
-        # p reaches the loss through two nodes; their gradients add up
-        p = Tensor(np.array([3.0]), requires_grad=True)
-        square, line = sum_of_squares(p), weighted_sum(p, 2.0)   # 2p and 2
-        fused(square.data + line.data, (square, line), lambda g: (g, g)).backward()
-        np.testing.assert_allclose(p.grad, [8.0])
+        monkeypatch.setattr(danet.nn, "dense_tanh_backward", record)
+        loss.backward()
+        assert seen == [False, True]                       # output layer, then first
 
 
 class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ValueError, match="scalar"):
-            fused(t.data * 2.0, (t,), lambda g: (2.0 * g,)).backward()
+        net = EmbedNet(TINY, seed=0)
+        with pytest.raises(TypeError):
+            Tensor(np.ones(3), lambda: None, net, [])
 
     def test_double_backward_rejected(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        loss = weighted_sum(t, 2.0)
+        net = EmbedNet(TINY, seed=1)
+        rng = np.random.default_rng(2)
+        loss = weighted_loss(net, rng.standard_normal((7, 4)),
+                             rng.standard_normal((4, 28)))
         loss.backward()
-        with pytest.raises(RuntimeError, match="already called"):
+        with pytest.raises(RuntimeError, match="keeps no backward"):
             loss.backward()
 
     def test_only_leaves_keep_gradients(self):
-        # the sweep drops each intermediate's gradient and tape as it passes
-        rng = np.random.default_rng(5)
-        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
-        x = Tensor(rng.standard_normal((4, 2)))
-        h = dense_tanh(w, x, b)
-        y = dense_tanh(Tensor(rng.standard_normal((2, 3)), requires_grad=True), h,
-                       Tensor(np.zeros((2, 1))))
-        loss = weighted_sum(y, 0.5)
+        # the backward pops what the forward kept and drops the loss rule,
+        # so only the net's gradient arrays are left
+        net = EmbedNet(TINY, seed=2)
+        rng = np.random.default_rng(3)
+        acts = []
+        v = net.embed(rng.standard_normal((7, 4)), acts)
+        assert len(acts) == 3 and acts[-1] is v          # two layer inputs, then V
+        loss = Tensor(float(np.sum(v)), lambda: np.ones_like(v), net, acts)
         loss.backward()
-        assert w.grad is not None and b.grad is not None and x.grad is None
-        for node in (h, y, loss):
-            assert node.grad is None
-            assert node._parents == () and node._backward is None
-        with pytest.raises(RuntimeError, match="already called"):
-            loss.backward()
-        with pytest.raises(RuntimeError, match="already called"):
-            weighted_sum(y, 3.0).backward()  # reaches a swept node
+        assert acts == []
+        assert loss._rule is None and loss._net is None and loss._acts is None
+        assert loss.item() == float(np.sum(v))
 
     def test_constants_track_nothing(self):
-        c = Tensor(np.ones(3))
-        out = weighted_sum(c, 2.0)
-        assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        # a backward writes one gradient per parameter and none for the
+        # input features, which it leaves as they were
+        net = EmbedNet(TINY, seed=4, n_anchors=2)
+        feats = np.random.default_rng(5).standard_normal((7, 4))
+        before = feats.copy()
+        weighted_loss(net, feats, np.ones((4, 28))).backward()
+        assert set(net.grads) == {"w0", "b0", "w_out", "b_out"}
+        assert feats.tobytes() == before.tobytes()
 
 
 class TestNoGrad:
-    def test_records_no_parents(self):
-        t = Tensor(np.ones((2, 2)), requires_grad=True)
-        with no_grad():
-            out = weighted_sum(dense_tanh(t, t, Tensor(np.ones((2, 1)))), 1.0)
-        assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+    """Forwards that no backward follows: inference and validation."""
 
-    def test_recording_resumes_after_block(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(KeyError):
-            with no_grad():
-                raise KeyError("inside")
-        loss = weighted_sum(t, 2.0)
-        assert loss.requires_grad
-        loss.backward()
-        np.testing.assert_allclose(t.grad, 2.0)
+    def test_records_no_parents(self):
+        # without a list to keep them in, embed keeps nothing and makes no
+        # gradient array
+        net = EmbedNet(TINY, seed=3)
+        v = net.embed(np.random.default_rng(4).standard_normal((7, 9)))
+        assert type(v) is np.ndarray and net.grads == {}
 
     def test_embeddings_bitwise_equal(self):
         cfg = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
         net = EmbedNet(cfg, seed=3, n_anchors=2)
         feats = np.random.default_rng(4).standard_normal((7, 9))
-        taped = net.embed(feats)
-        with no_grad():
-            untaped = net.embed(feats)
-        assert taped.requires_grad and not untaped.requires_grad
-        assert untaped._parents == ()
-        np.testing.assert_array_equal(untaped.data, taped.data)
+        acts = []
+        taped = net.embed(feats, acts)
+        untaped = net.embed(feats)
+        assert type(untaped) is np.ndarray and acts[-1] is taped
+        assert untaped.tobytes() == taped.tobytes()

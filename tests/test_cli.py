@@ -334,6 +334,22 @@ class TestTrain:
             assert not (tmp_path / "new.ckpt").exists()
         assert resumed.read_bytes() == trained.read_bytes()
 
+    @pytest.mark.parametrize("extra, field", [
+        (["--hidden", "0"], "hidden_sizes"),
+        (["--hidden", "4,-2"], "hidden_sizes"),
+        (["--chunk-short", "0"], "chunk_short"),
+        (["--chunk-long", "0"], "chunk_long"),
+        (["--model", "adanet", "--slots", "0"], "slots"),
+    ])
+    def test_unusable_settings_exit_two_before_reading(self, tmp_path, capsys,
+                                                       extra, field):
+        # no corpus exists: reading the index would name a missing file
+        assert main(["train", "--data", str(tmp_path / "missing"), "--out",
+                     str(tmp_path / "x.ckpt"), *MICRO_TRAIN, *extra]) == 2
+        err = capsys.readouterr().err
+        assert f".{field} must be >= 1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("row, field", MALFORMED_ROWS)
     def test_malformed_index_row_exits_two(self, corpus, tmp_path, capsys,
                                            row, field):

@@ -414,12 +414,12 @@ class TestSeparate:
     def test_never_writes_into_the_net_arrays(self, strategy):
         # a net built from a checkpoint holds its arrays without a copy
         held = trained_toy_net(seed=4, n_anchors=3)
-        arrays = {name: p.data for name, p in held.params.items()}
+        arrays = dict(held.params)
         before = {name: arr.copy() for name, arr in arrays.items()}
         net = EmbedNet.from_arrays(held.config, arrays, n_anchors=3)
         separate(net, toy_wave(seed=5), 2, strategy)
         for name, arr in arrays.items():
-            assert net.params[name].data is arr
+            assert net.params[name] is arr
             np.testing.assert_array_equal(arr, before[name])
 
     def test_softmax_outputs_sum_to_mixture_reconstruction(self):

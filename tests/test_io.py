@@ -193,6 +193,34 @@ class TestCheckpoint:
         checkpoint_save(checkpoint_load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(context=st.integers(-1, 3), hidden=st.lists(st.integers(-2, 5), max_size=3),
+           embed_dim=st.integers(-1, 4), n_freq=st.integers(-1, 6),
+           mask_nl=st.sampled_from(["softmax", "sigmoid", "tanh"]),
+           n_anchors=st.integers(0, 3))
+    def test_every_accepted_config_saves_and_loads_back(
+            self, tmp_path, context, hidden, embed_dim, n_freq, mask_nl, n_anchors):
+        fields = dict(context=context, hidden_sizes=tuple(hidden), embed_dim=embed_dim,
+                      n_freq=n_freq, mask_nl=mask_nl)
+        if (context < 0 or min(hidden, default=1) < 1 or embed_dim < 1 or n_freq < 1
+                or mask_nl == "tanh"):
+            with pytest.raises(ValueError, match="EmbedNetConfig"):
+                EmbedNetConfig(**fields)
+            return
+        cfg = EmbedNetConfig(**fields)
+        net = EmbedNet(cfg, seed=0, n_anchors=n_anchors)
+        ckpt = Checkpoint.of_training("adanet" if n_anchors else "danet", 2, net,
+                                      AdamState(), dict(net.params), None, 0, {})
+        checkpoint_save(ckpt, tmp_path / "cfg.ckpt")
+        loaded = checkpoint_load(tmp_path / "cfg.ckpt")
+        assert loaded.config == cfg and loaded.n_anchors == n_anchors
+        back = loaded.build_net()
+        for name, arr in net.params.items():
+            assert back.params[name].tobytes() == arr.tobytes()
+        feats = np.random.default_rng(1).standard_normal((n_freq, 3))
+        assert back.embed(feats).shape == (embed_dim, n_freq * 3)
+
     def test_arrays_roundtrip_bitwise(self, tmp_path):
         ckpt = make_checkpoint(1)
         path = tmp_path / "c.ckpt"
@@ -209,8 +237,8 @@ class TestCheckpoint:
     def test_file_is_header_then_each_array_from_its_buffer(self, tmp_path,
                                                              n_anchors):
         net = EmbedNet(TINY, seed=0, n_anchors=n_anchors)
-        opt = AdamState(step=2, m={"w0": np.ones_like(net.params["w0"].data)})
-        best = {name: p.data * 0.5 for name, p in net.params.items()}
+        opt = AdamState(step=2, m={"w0": np.ones_like(net.params["w0"])})
+        best = {name: p * 0.5 for name, p in net.params.items()}
         # a transposed (non-contiguous) table is stored in C order
         table = (np.arange(12.0).reshape(4, 3).T if n_anchors == 0 else None)
         ckpt = Checkpoint.of_training("adanet" if n_anchors else "danet", 2, net,
@@ -264,8 +292,8 @@ class TestCheckpoint:
         loaded = checkpoint_load(path)
         best = loaded.build_net(best=True)
         current = loaded.build_net(best=False)
-        np.testing.assert_array_equal(best.params["w0"].data, ckpt.arrays["best/w0"])
-        np.testing.assert_array_equal(current.params["w0"].data, ckpt.arrays["param/w0"])
+        np.testing.assert_array_equal(best.params["w0"], ckpt.arrays["best/w0"])
+        np.testing.assert_array_equal(current.params["w0"], ckpt.arrays["param/w0"])
 
     @pytest.mark.parametrize("best", [True, False])
     def test_build_net_without_drawing(self, tmp_path, monkeypatch, best):
@@ -284,10 +312,10 @@ class TestCheckpoint:
         for name, p in net.params.items():
             stored = loaded.arrays[prefix + name]
             if best:
-                assert p.data is stored
+                assert p is stored
             else:
-                assert not np.shares_memory(p.data, stored)
-                assert p.data.tobytes() == stored.tobytes()
+                assert not np.shares_memory(p, stored)
+                assert p.tobytes() == stored.tobytes()
 
     def test_build_adam_copies_stored_moments(self, tmp_path):
         checkpoint_save(make_checkpoint(6), tmp_path / "a.ckpt")
@@ -310,7 +338,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(8)
         mix = rng.uniform(0.1, 1.0, (7, 9))
         train_step(net, opt, mix, np.stack([0.6 * mix, 0.4 * mix]), slots=2)
-        assert not np.array_equal(net.params["w0"].data, before["param/w0"])
+        assert not np.array_equal(net.params["w0"], before["param/w0"])
         for name, arr in loaded.arrays.items():
             np.testing.assert_array_equal(arr, before[name])
 
@@ -454,7 +482,7 @@ class TestInferenceLoad:
         net_full, net_lean = full.build_net(best=True), lean.build_net(best=True)
         assert net_full.params.keys() == net_lean.params.keys()
         for name, param in net_full.params.items():
-            np.testing.assert_array_equal(net_lean.params[name].data, param.data)
+            np.testing.assert_array_equal(net_lean.params[name], param)
         np.testing.assert_array_equal(lean.fixed_attractor_table,
                                       full.fixed_attractor_table)
         for key in ("model_kind", "config", "n_anchors", "slots", "adam", "epoch",

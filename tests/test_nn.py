@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from danet.autograd import Tensor, fused
+from danet.autograd import Tensor
 from danet.nn import (
     AdamState,
     EmbedNet,
@@ -18,10 +18,11 @@ from danet.nn import (
 TINY = EmbedNetConfig(context=1, hidden_sizes=(8,), embed_dim=4, n_freq=7)
 
 
-def squared_error(v: Tensor, target) -> Tensor:
-    """``sum((v - target)**2)`` as one fused node."""
-    diff = v.data - target
-    return fused(np.sum(diff * diff), (v,), lambda g: (2.0 * g * diff,))
+def squared_error(net: EmbedNet, feats: np.ndarray, target) -> Tensor:
+    """``sum((V - target)**2)`` of ``net``'s embeddings, with its backward."""
+    acts = []
+    diff = net.embed(feats, acts) - target
+    return Tensor(np.sum(diff * diff), lambda: 2.0 * diff, net, acts)
 
 
 class TestForward:
@@ -29,18 +30,18 @@ class TestForward:
         net = EmbedNet(EmbedNetConfig(), seed=0)
         feats = np.random.default_rng(0).standard_normal((129, 50))
         v = net.embed(feats)
-        assert v.data.shape == (20, 129 * 50)
+        assert v.shape == (20, 129 * 50)
 
     def test_deterministic_from_seed(self):
         feats = np.random.default_rng(1).standard_normal((7, 9))
-        v1 = EmbedNet(TINY, seed=42).embed(feats).data
-        v2 = EmbedNet(TINY, seed=42).embed(feats).data
+        v1 = EmbedNet(TINY, seed=42).embed(feats)
+        v2 = EmbedNet(TINY, seed=42).embed(feats)
         np.testing.assert_array_equal(v1, v2)
 
     def test_different_seeds_differ(self):
         feats = np.random.default_rng(1).standard_normal((7, 9))
-        v1 = EmbedNet(TINY, seed=1).embed(feats).data
-        v2 = EmbedNet(TINY, seed=2).embed(feats).data
+        v1 = EmbedNet(TINY, seed=1).embed(feats)
+        v2 = EmbedNet(TINY, seed=2).embed(feats)
         assert not np.array_equal(v1, v2)
 
     def test_column_layout_matches_flattening(self):
@@ -50,10 +51,10 @@ class TestForward:
         net = EmbedNet(cfg, seed=3)
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((5, 2))
-        v = net.embed(feats).data
+        v = net.embed(feats)
         x = context_stack(standardize(feats), 0)
-        h = np.tanh(net.params["w0"].data @ x + net.params["b0"].data)
-        out = np.tanh(net.params["w_out"].data @ h + net.params["b_out"].data)  # (K*F, T)
+        h = np.tanh(net.params["w0"] @ x + net.params["b0"])
+        out = np.tanh(net.params["w_out"] @ h + net.params["b_out"])  # (K*F, T)
         for f in range(5):
             for t in range(2):
                 np.testing.assert_array_equal(v[:, t * 5 + f], out[np.arange(3) * 5 + f, t])
@@ -65,16 +66,14 @@ class TestForward:
         target = rng.standard_normal((4, 42))
 
         def loss_value():
-            return squared_error(net.embed(feats), target)
+            return squared_error(net, feats, target)
 
-        loss = loss_value()
-        net.zero_grad()
-        loss.backward()
+        loss_value().backward()
         h = 1e-4
         checked = 0
         for name, p in net.params.items():
-            flat = p.data.reshape(-1)
-            grad = p.grad.reshape(-1)
+            flat = p.reshape(-1)
+            grad = net.grads[name].reshape(-1)
             for i in range(0, flat.size, max(1, flat.size // 40)):
                 orig = flat[i]
                 flat[i] = orig + h
@@ -106,8 +105,8 @@ def chained_embed(net: EmbedNet, features: np.ndarray) -> np.ndarray:
     f, t = features.shape
     h = context_stack(standardize(features), cfg.context)
     for i in range(len(cfg.hidden_sizes)):
-        h = np.tanh(net.params[f"w{i}"].data @ h + net.params[f"b{i}"].data)
-    out = np.tanh(net.params["w_out"].data @ h + net.params["b_out"].data)
+        h = np.tanh(net.params[f"w{i}"] @ h + net.params[f"b{i}"])
+    out = np.tanh(net.params["w_out"] @ h + net.params["b_out"])
     return (out.reshape(cfg.embed_dim, f, t).transpose(0, 2, 1)
             .reshape(cfg.embed_dim, f * t))
 
@@ -127,12 +126,14 @@ class TestEmbedMatchesChainedOps:
         feats = rng.standard_normal((f, t))
         # dL/dV of a weighted sum, handed back row- or column-major
         weights = np.asarray(rng.standard_normal((k, f * t)), order=order)
-        v = net.embed(feats)
-        np.testing.assert_array_equal(v.data, chained_embed(net, feats))
-        fused(np.sum(v.data * weights), (v,), lambda g: (g * weights,)).backward()
+        acts = []
+        v = net.embed(feats, acts)
+        np.testing.assert_array_equal(v, chained_embed(net, feats))
+        Tensor(np.sum(v * weights), lambda: weights.copy(order=order), net,
+               acts).backward()
         h = 1e-6
         for name, p in net.params.items():
-            flat = p.data.reshape(-1)
+            flat = p.reshape(-1)
             fd = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
@@ -142,8 +143,8 @@ class TestEmbedMatchesChainedOps:
                 down = np.sum(chained_embed(net, feats) * weights)
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * h)
-            np.testing.assert_allclose(p.grad.reshape(-1), fd, rtol=1e-5, atol=1e-7,
-                                       err_msg=name)
+            np.testing.assert_allclose(net.grads[name].reshape(-1), fd, rtol=1e-5,
+                                       atol=1e-7, err_msg=name)
 
 
 class TestFromArrays:
@@ -159,7 +160,7 @@ class TestFromArrays:
         net = EmbedNet.from_arrays(TINY, arrays, n_anchors=3)
         assert net.params.keys() == arrays.keys() and net.n_anchors == 3
         for name, p in net.params.items():
-            assert p.data is arrays[name] and p.requires_grad
+            assert p is arrays[name]
 
     def test_adam_updates_held_arrays_in_place(self):
         # byte-equal to the out-of-place formula, signed zeros included: b0
@@ -169,32 +170,33 @@ class TestFromArrays:
         shapes = {**TINY.param_shapes(), "big": (700, 30)}   # several blocks
         arrays = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         net = EmbedNet.from_arrays(TINY, arrays)
-        params = {**net.params, "big": Tensor(arrays["big"], requires_grad=True)}
+        params = {**net.params, "big": arrays["big"]}
+        grads = {}
         opt = AdamState(lr=1e-2)
         want = {name: arr.copy() for name, arr in arrays.items()}
         want_m = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         want_v = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         for t in range(1, 5):
-            for name, p in params.items():
-                p.grad = None if name == "b0" else rng.standard_normal(p.data.shape)
+            grads = {name: rng.standard_normal(p.shape)
+                     for name, p in params.items() if name != "b0"}
             if t == 3:
                 for moments in (opt.m, want_m):
                     moments["b0"][0, 0] = moments["w0"][1, 2] = -0.0
-                params["w0"].grad[1, 2] = 0.0
-            held = {name: (p.data, opt.m.get(name), opt.v.get(name))
+                grads["w0"][1, 2] = 0.0
+            held = {name: (p, opt.m.get(name), opt.v.get(name))
                     for name, p in params.items()}
-            adam_step(params, opt)
+            adam_step(params, grads, opt)
             for name, p in params.items():
-                g = p.grad if p.grad is not None else 0.0
+                g = grads.get(name, 0.0)
                 want_m[name] = opt.beta1 * want_m[name] + (1 - opt.beta1) * g
                 want_v[name] = opt.beta2 * want_v[name] + (1 - opt.beta2) * (g * g)
                 m_hat = want_m[name] / (1 - opt.beta1**t)
                 v_hat = want_v[name] / (1 - opt.beta2**t)
                 want[name] = want[name] - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-                assert p.data.tobytes() == want[name].tobytes(), (name, t)
+                assert p.tobytes() == want[name].tobytes(), (name, t)
                 assert opt.m[name].tobytes() == want_m[name].tobytes(), (name, t)
                 assert opt.v[name].tobytes() == want_v[name].tobytes(), (name, t)
-                assert p.data is arrays[name]
+                assert p is arrays[name]
                 if t > 1:
                     assert opt.m[name] is held[name][1] and opt.v[name] is held[name][2]
         assert np.signbit(opt.m["w0"][1, 2]) == np.signbit(want_m["w0"][1, 2])
@@ -239,45 +241,40 @@ class TestStandardize:
 
 class TestAdam:
     def test_zero_gradient_no_motion(self):
-        p = {"w": Tensor(np.ones((3, 3)), requires_grad=True)}
-        p["w"].grad = np.zeros((3, 3))
-        before = p["w"].data.copy()
-        adam_step(p, AdamState(lr=1e-3))
-        assert np.max(np.abs(p["w"].data - before)) < 1e-15
+        p = {"w": np.ones((3, 3))}
+        before = p["w"].copy()
+        adam_step(p, {"w": np.zeros((3, 3))}, AdamState(lr=1e-3))
+        assert np.max(np.abs(p["w"] - before)) < 1e-15
 
     def test_first_step_unit_gradient_moves_lr(self):
-        p = {"w": Tensor(np.zeros(4), requires_grad=True)}
-        p["w"].grad = np.ones(4)
-        adam_step(p, AdamState(lr=1e-3))
-        np.testing.assert_allclose(np.abs(p["w"].data), 1e-3, atol=1e-6)
+        p = {"w": np.zeros(4)}
+        adam_step(p, {"w": np.ones(4)}, AdamState(lr=1e-3))
+        np.testing.assert_allclose(np.abs(p["w"]), 1e-3, atol=1e-6)
 
     def test_trajectory_deterministic(self):
         def run():
             rng = np.random.default_rng(7)
-            p = {"w": Tensor(np.ones(5), requires_grad=True)}
+            p = {"w": np.ones(5)}
             st = AdamState(lr=1e-2)
             for _ in range(20):
-                p["w"].grad = rng.standard_normal(5)
-                adam_step(p, st)
-            return p["w"].data
+                adam_step(p, {"w": rng.standard_normal(5)}, st)
+            return p["w"]
 
         np.testing.assert_array_equal(run(), run())
 
     def test_shape_mismatch_raises(self):
-        p = {"w": Tensor(np.ones(4), requires_grad=True)}
+        p = {"w": np.ones(4)}
         st = AdamState()
         st.m["w"] = np.zeros(3)
         st.v["w"] = np.zeros(3)
-        p["w"].grad = np.ones(4)
         with pytest.raises(ValueError):
-            adam_step(p, st)
+            adam_step(p, {"w": np.ones(4)}, st)
 
     def test_step_counter_increments(self):
-        p = {"w": Tensor(np.ones(2), requires_grad=True)}
+        p, g = {"w": np.ones(2)}, {"w": np.ones(2)}
         st = AdamState()
-        p["w"].grad = np.ones(2)
-        adam_step(p, st)
-        adam_step(p, st)
+        adam_step(p, g, st)
+        adam_step(p, g, st)
         assert st.step == 2
 
 
@@ -290,9 +287,7 @@ class TestStability:
         feats = rng.standard_normal((7, 5))
         target = rng.standard_normal((4, 35))
         for _ in range(1000):
-            loss = squared_error(net.embed(feats), target)
-            net.zero_grad()
-            loss.backward()
-            adam_step(net.params, opt)
-        final = net.embed(feats).data
+            squared_error(net, feats, target).backward()
+            adam_step(net.params, net.grads, opt)
+        final = net.embed(feats)
         assert np.all(np.isfinite(final))

@@ -16,17 +16,61 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_every_traced_span_names_a_package_function():
-    """A renamed or removed span target fails here, not only as
-    ``spans_missing`` in a traced benchmark run."""
+def bench_tracer():
+    """The benchmark's ``bench/tracer.py`` module."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import tracer
     finally:
         sys.path.remove(str(ROOT / "bench"))
+    return tracer
+
+
+def test_every_traced_span_names_a_package_function():
+    """A renamed or removed span target fails here, not only as
+    ``spans_missing`` in a traced benchmark run."""
+    tracer = bench_tracer()
     unresolved = [name for name, (module, path) in tracer.SPANS.items()
                   if tracer._resolve(module, path) is None]
     assert unresolved == []
+
+
+@pytest.mark.parametrize("model", ["danet", "adanet"])
+def test_spans_time_what_their_names_say(tmp_path, model):
+    """One training step enters the ``autograd.backward`` span once and
+    ``nn.embed`` once; validation and separation embed but enter no
+    backward.  A span that stopped being called would read 0 and still
+    pass the benchmark's own checks."""
+    from danet import data, inference, training
+    from danet.nn import AdamState, EmbedNet, EmbedNetConfig
+    from danet.wavio import pcm_waveform
+
+    tracer = bench_tracer()
+    data.generate_dataset(data.build_manifest("train", 2, (2,), seed=0, duration=0.5),
+                          tmp_path)
+    corpus = training.load_corpus(data.load_index(tmp_path / "index.jsonl"))
+    settings = training.TrainSettings()   # validation reads only q
+    n_anchors = 3 if model == "adanet" else 0
+    net = EmbedNet(EmbedNetConfig(hidden_sizes=(8,), embed_dim=4), n_anchors=n_anchors)
+    pcm = training.read_utterance(corpus[0])
+    mix, src = training._utterance_mags(pcm)
+    strategy = (inference.AnchoredStrategy() if n_anchors
+                else inference.KMeansStrategy(seed=0))
+
+    def calls(run) -> dict:
+        spans = tracer.Tracer(tracer.Clock())
+        with spans.active():
+            run()
+        return {name: spans.stats[name]["calls"]
+                for name in ("autograd.backward", "nn.embed", "nn.adam_step")}
+
+    assert calls(lambda: training.train_step(net, AdamState(), mix, src)) == {
+        "autograd.backward": 1, "nn.embed": 1, "nn.adam_step": 1}
+    assert calls(lambda: training._validation_loss(net, settings, 2, corpus)) == {
+        "autograd.backward": 0, "nn.embed": 2, "nn.adam_step": 0}
+    assert calls(lambda: inference.separate(net, pcm_waveform(pcm["mix"]), 2,
+                                            strategy)) == {
+        "autograd.backward": 0, "nn.embed": 1, "nn.adam_step": 0}
 
 
 def test_bench_records_are_complete():

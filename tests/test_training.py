@@ -295,6 +295,22 @@ class TestTraining:
                   tmp_path / "x.log")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_sizes", (0,)),
+        ("hidden_sizes", (4, -2)),
+        ("chunk_short", 0),
+        ("chunk_long", 0),
+        ("slots", 0),
+    ])
+    def test_unusable_setting_rejected_before_any_io(self, tmp_path, field, value):
+        # each of these used to train, or fail deep inside the first step
+        rows = [{"mixture_path": tmp_path / "missing.wav",
+                 "source_paths": [tmp_path / "missing_s0.wav"]}]
+        with pytest.raises(ValueError, match=rf"\.{field} must be >= 1"):
+            train(rows, rows, TrainSettings(**{**MICRO, "model": "adanet", field: value}),
+                  tmp_path / "x.ckpt", tmp_path / "x.log")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("split", ["train", "validation"])
     def test_truncated_wav_fails_before_log_or_checkpoint(self, micro_corpus,
                                                           tmp_path, split):
@@ -399,11 +415,10 @@ class TestLossGradients:
         net = EmbedNet(cfg, seed=3, n_anchors=n_anchors)
         src = np.random.default_rng(c).uniform(0.01, 1.0, size=(c, 7, 6))
         mix = src.sum(axis=0)
-        net.zero_grad()
         training_loss(net, mix, src, slots=slots).backward()
         h = 1e-5
         for name, p in net.params.items():
-            flat = p.data.reshape(-1)
+            flat = p.reshape(-1)
             fd = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
@@ -413,8 +428,8 @@ class TestLossGradients:
                 down = training_loss(net, mix, src, slots=slots).item()
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * h)
-            np.testing.assert_allclose(p.grad.reshape(-1), fd, rtol=1e-5, atol=1e-9,
-                                       err_msg=name)
+            np.testing.assert_allclose(net.grads[name].reshape(-1), fd, rtol=1e-5,
+                                       atol=1e-9, err_msg=name)
 
 
 class TestStepMemory:
@@ -445,13 +460,12 @@ class TestStepMemory:
         # small scratch; the out-of-place update peaked at 18 MB here
         net = EmbedNet(EmbedNetConfig(), seed=0)
         rng = np.random.default_rng(1)
-        for p in net.params.values():
-            p.grad = rng.standard_normal(p.data.shape)
+        grads = {name: rng.standard_normal(p.shape) for name, p in net.params.items()}
         opt = AdamState()
-        adam_step(net.params, opt)                        # the moments exist
+        adam_step(net.params, grads, opt)                 # the moments exist
         tracemalloc.start()
         try:
-            adam_step(net.params, opt)
+            adam_step(net.params, grads, opt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -464,11 +478,12 @@ class TestStepMemory:
         opt = AdamState()
         src = np.random.default_rng(0).uniform(0.0, 1.0, (2, 129, 100)) ** 3
         train_step(net, opt, src.sum(axis=0), src)
-        held = {name: p.grad for name, p in net.params.items()}
+        held = dict(net.grads)
+        assert held.keys() == net.params.keys()
         for _ in range(2):
             train_step(net, opt, src.sum(axis=0), src)
-            for name, p in net.params.items():
-                assert p.grad is held[name], name
+            for name in net.params:
+                assert net.grads[name] is held[name], name
 
 
 class TestBestSnapshot:
