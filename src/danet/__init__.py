@@ -22,7 +22,7 @@ from .attractor import (
     threshold_vector,
 )
 from .autograd import Tensor
-from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
+from .checkpoint import Checkpoint, TrainerState, checkpoint_load, checkpoint_save
 from .data import (
     DatasetManifest,
     MixtureSpec,
@@ -56,7 +56,6 @@ from .masks import ibm, irm, wfm
 from .metrics import ScoreReport, score_with_permutation, si_snr, si_snr_improvement, snr
 from .nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
 from .training import (
-    TrainerState,
     TrainSettings,
     TrainingDiverged,
     train,

@@ -9,6 +9,10 @@ Layout::
               array manifest of (name, shape, offset)
     arrays    float64 little-endian, concatenated at the listed offsets
 
+The ``config``, ``adam`` and ``trainer`` blocks hold the fields of
+``EmbedNetConfig``, ``AdamState`` (its scalars) and ``TrainerState``, and
+the manifest exactly the arrays of the config (:func:`_check_arrays`).
+
 Arrays are stored at full precision and the encoding is deterministic, so
 save -> load -> save reproduces identical bytes and resumed training
 continues the original trajectory exactly.
@@ -18,17 +22,29 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .nn import AdamState, EmbedNet, EmbedNetConfig
 
-__all__ = ["Checkpoint", "checkpoint_save", "checkpoint_load"]
+__all__ = ["Checkpoint", "TrainerState", "checkpoint_save", "checkpoint_load"]
 
 _MAGIC = b"DANCKPT\0"
 _VERSION = 1
+
+
+@dataclass
+class TrainerState:
+    """Curriculum position and patience counters, stored as
+    ``Checkpoint.trainer`` so a resumed run picks up where it stopped."""
+
+    phase: int = 1
+    epoch_in_phase: int = 0
+    since_best: int = 0
+    since_best_lr: int = 0
+    done: bool = False
 
 
 @dataclass
@@ -43,21 +59,21 @@ class Checkpoint:
     adam: dict = field(default_factory=dict)      # lr/beta1/beta2/eps/step
     epoch: int = 0
     best_val_loss: float | None = None
-    trainer: dict = field(default_factory=dict)   # phase + patience counters
+    trainer: TrainerState = field(default_factory=TrainerState)
     unread: tuple = ()                 # arrays an inference load left on disk
 
     @classmethod
     def of_training(cls, model_kind: str, slots: int, net: EmbedNet,
                     opt: AdamState, best: dict, best_val_loss: float | None,
-                    epoch: int, trainer: dict,
+                    epoch: int, trainer: TrainerState,
                     fixed_table: np.ndarray | None = None) -> "Checkpoint":
         """The full training state: ``net``'s current parameters, the
         ``best`` parameter arrays by name, and ``opt``'s moments (zero for
         a parameter Adam has not stepped yet).
 
-        The arrays are held, not copied.  Adam updates parameters and
-        moments in place, so the checkpoint shows the state it was made
-        from only until the next step: save it before then."""
+        The arrays and ``trainer`` are held, not copied.  Adam updates
+        parameters and moments in place, so the checkpoint shows the state
+        it was made from only until the next step: save it before then."""
         arrays = {}
         for name, p in net.params.items():
             arrays[f"param/{name}"] = p
@@ -72,8 +88,7 @@ class Checkpoint:
             n_anchors=net.n_anchors,
             slots=slots,
             arrays=arrays,
-            adam={"lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-                  "eps": opt.eps, "step": opt.step},
+            adam=_scalars(opt),
             epoch=epoch,
             best_val_loss=best_val_loss,
             trainer=trainer,
@@ -109,19 +124,9 @@ class Checkpoint:
         """The optimizer state, its moments copies of the stored ones, so
         that Adam updates them in place without touching the checkpoint."""
         self._require_all_arrays("build the optimizer state")
-        state = AdamState(
-            lr=self.adam["lr"],
-            beta1=self.adam["beta1"],
-            beta2=self.adam["beta2"],
-            eps=self.adam["eps"],
-            step=self.adam["step"],
-        )
-        for key, arr in self.arrays.items():
-            if key.startswith("adam_m/"):
-                state.m[key[len("adam_m/"):]] = arr.copy()
-            elif key.startswith("adam_v/"):
-                state.v[key[len("adam_v/"):]] = arr.copy()
-        return state
+        m, v = ({name: arr.copy() for name, arr in self._params(prefix).items()}
+                for prefix in ("adam_m/", "adam_v/"))
+        return AdamState(**self.adam, m=m, v=v)
 
     def _require_all_arrays(self, action: str) -> None:
         if self.unread:
@@ -159,19 +164,13 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
     header = {
         "version": _VERSION,
         "model_kind": ckpt.model_kind,
-        "config": {
-            "context": ckpt.config.context,
-            "hidden_sizes": list(ckpt.config.hidden_sizes),
-            "embed_dim": ckpt.config.embed_dim,
-            "n_freq": ckpt.config.n_freq,
-            "mask_nl": ckpt.config.mask_nl,
-        },
+        "config": asdict(ckpt.config),
         "n_anchors": ckpt.n_anchors,
         "slots": ckpt.slots,
         "adam": ckpt.adam,
         "epoch": ckpt.epoch,
         "best_val_loss": ckpt.best_val_loss,
-        "trainer": ckpt.trainer,
+        "trainer": asdict(ckpt.trainer),
         "arrays": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -195,8 +194,9 @@ def checkpoint_save(ckpt: Checkpoint, path) -> None:
 
 def checkpoint_load(path, *, inference: bool = False) -> Checkpoint:
     """Read a checkpoint, validating version, header fields and every
-    array's shape and extent; anything malformed raises ValueError naming
-    the field.
+    array's name, shape and extent against the arrays its config holds
+    (:func:`_check_arrays`); anything malformed raises ValueError naming
+    the field or array.
 
     Each array is read once, straight from its offset.  ``inference=True``
     reads only the ``best/`` parameters and the fixed-attractor table; the
@@ -225,38 +225,14 @@ def checkpoint_load(path, *, inference: bool = False) -> Checkpoint:
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
         where = f"{path}: checkpoint header"
-        config = _field(header, "config", dict, where)
-        where_cfg = f"{where} config"
+        cfg = _read(EmbedNetConfig, header, "config", where)
         # version-1 files written before the field was dropped carry "tanh"
-        if config.get("nonlinearity", "tanh") != "tanh":
-            raise ValueError(f"{where_cfg}: field 'nonlinearity' must be 'tanh'")
-        hidden = _field(config, "hidden_sizes", list, where_cfg)
-        if not all(_is_int(h) and h > 0 for h in hidden):
-            raise ValueError(f"{where_cfg}: field 'hidden_sizes' is malformed")
-        cfg = EmbedNetConfig(
-            context=_field(config, "context", int, where_cfg),
-            hidden_sizes=tuple(hidden),
-            embed_dim=_field(config, "embed_dim", int, where_cfg),
-            n_freq=_field(config, "n_freq", int, where_cfg),
-            mask_nl=_field(config, "mask_nl", str, where_cfg),
-        )
-        adam = _field(header, "adam", dict, where)
-        for key in ("lr", "beta1", "beta2", "eps"):
-            _field(adam, key, (int, float), f"{where} adam")
-        _field(adam, "step", int, f"{where} adam")
+        if header["config"].get("nonlinearity", "tanh") != "tanh":
+            raise ValueError(f"{where} config: field 'nonlinearity' must be 'tanh'")
+        adam = _scalars(_read(AdamState, header, "adam", where))
         n_anchors = _field(header, "n_anchors", int, where)
-
         manifest = _manifest(header, size - data_start, path)
-        for prefix in ("param/", "best/"):
-            for name, shape in cfg.param_shapes(n_anchors).items():
-                key = prefix + name
-                if key not in manifest:
-                    raise ValueError(f"{path}: missing array '{key}'")
-                if manifest[key][0] != shape:
-                    raise ValueError(
-                        f"{path}: array '{key}' has shape {manifest[key][0]}, "
-                        f"config requires {shape}"
-                    )
+        _check_arrays(manifest, cfg, n_anchors, path)
 
         arrays = {}
         for name, (shape, start) in manifest.items():
@@ -277,7 +253,7 @@ def checkpoint_load(path, *, inference: bool = False) -> Checkpoint:
         adam=adam,
         epoch=_field(header, "epoch", int, where),
         best_val_loss=_field(header, "best_val_loss", (int, float, type(None)), where),
-        trainer=_field(header, "trainer", dict, where),
+        trainer=_read(TrainerState, header, "trainer", where),
         unread=tuple(sorted(set(manifest) - set(arrays))),
     )
 
@@ -323,14 +299,69 @@ def _manifest(header: dict, data_len: int, path) -> dict:
     return manifest
 
 
+def _check_arrays(manifest: dict, cfg: EmbedNetConfig, n_anchors: int, path) -> None:
+    """Refuse, naming the array, a manifest that is not the arrays a
+    checkpoint of ``cfg`` holds: every parameter in its shape under each
+    prefix, and optionally ``fixed_attractors``, a table of attractors
+    ``cfg.embed_dim`` wide."""
+    shapes = {prefix + name: shape for prefix in ("param/", "best/", "adam_m/", "adam_v/")
+              for name, shape in cfg.param_shapes(n_anchors).items()}
+    for name in shapes:
+        if name not in manifest:
+            raise ValueError(f"{path}: missing array '{name}'")
+    for name, (shape, _) in manifest.items():
+        if name == "fixed_attractors":
+            if len(shape) != 2 or shape[1] != cfg.embed_dim:
+                raise ValueError(f"{path}: array '{name}' has shape {shape}, config "
+                                 f"requires (rows, {cfg.embed_dim})")
+        elif name not in shapes:
+            raise ValueError(f"{path}: unknown array '{name}'")
+        elif shape != shapes[name]:
+            raise ValueError(f"{path}: array '{name}' has shape {shape}, config "
+                             f"requires {shapes[name]}")
+
+
+# The JSON type a header field of each annotated type is stored as: a bool
+# is never an int or a float, and a tuple is a list of ints.
+_JSON_KINDS = {int: int, float: (int, float), str: str, bool: bool, tuple: list}
+
+
+def _stored(cls) -> dict:
+    """The fields of the dataclass ``cls`` that its header block stores,
+    each with its JSON type; dict fields (Adam's moments) are arrays."""
+    return {f.name: _JSON_KINDS[f.type] for f in fields(cls) if f.type is not dict}
+
+
+def _scalars(obj) -> dict:
+    """The header block of ``obj``: the values of its stored fields."""
+    return {name: getattr(obj, name) for name in _stored(type(obj))}
+
+
+def _read(cls, header: dict, key: str, where: str):
+    """``cls`` built from the header block ``key``, each stored field read
+    with :func:`_field`; a bad field, or a value ``cls`` refuses, raises
+    ValueError naming it."""
+    block, where = _field(header, key, dict, where), f"{where} {key}"
+    values = {}
+    for name, kind in _stored(cls).items():
+        value = _field(block, name, kind, where)
+        if kind is list and not all(_is_int(v) for v in value):
+            raise ValueError(f"{where}: field '{name}' is missing or malformed")
+        values[name] = tuple(value) if kind is list else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _field(block: dict, key: str, kind, where: str):
-    """``block[key]`` if present and an instance of ``kind`` (never a
-    bool); else a ValueError naming the field."""
-    if (key not in block or isinstance(block[key], bool)
+    """``block[key]`` if present and an instance of ``kind``, a bool only
+    where ``kind`` is ``bool``; else a ValueError naming the field."""
+    if (key not in block or isinstance(block[key], bool) != (kind is bool)
             or not isinstance(block[key], kind)):
         raise ValueError(f"{where}: field '{key}' is missing or malformed")
     return block[key]

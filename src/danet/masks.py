@@ -31,20 +31,13 @@ def irm(source_mags: np.ndarray) -> np.ndarray:
     has no energy."""
     mags = np.atleast_2d(np.asarray(source_mags, dtype=np.float64))
     total = mags.sum(axis=0, keepdims=True)
-    c = mags.shape[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        masks = np.where(total > 0, mags / total, 1.0 / c)
-    return masks
+        return np.where(total > 0, mags / total, 1.0 / mags.shape[0])
 
 
 def wfm(source_mags: np.ndarray) -> np.ndarray:
     """Wiener-filter-like mask: |s_i|^2 / sum_j |s_j|^2, uniform 1/C where
     the mixture has no energy."""
-    mags = np.atleast_2d(np.asarray(source_mags, dtype=np.float64))
-    sq = mags * mags
-    total = sq.sum(axis=0, keepdims=True)
-    c = mags.shape[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        masks = np.where(total > 0, sq / total, 1.0 / c)
-    return masks
+    mags = np.asarray(source_mags, dtype=np.float64)
+    return irm(mags * mags)
 

@@ -11,7 +11,7 @@ retraces the uninterrupted trajectory bit for bit.
 
 import ctypes
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .attractor import (
     threshold_vector,
 )
 from .autograd import Tensor
-from .checkpoint import Checkpoint, checkpoint_load, checkpoint_save
+from .checkpoint import Checkpoint, TrainerState, checkpoint_load, checkpoint_save
 from .dsp import (
     HOP,
     WINDOW_LEN,
@@ -112,34 +112,11 @@ class TrainSettings:
         """Refuse, naming the field, a setting no corpus could train with."""
         if not (0 < self.q <= 1):
             raise ValueError(f"TrainSettings.q must lie in (0, 1], got {self.q!r}")
-        for name in ("chunk_short", "chunk_long", "slots"):
+        for name in ("chunk_short", "chunk_long", "epochs_short", "epochs_long", "slots"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"TrainSettings.{name} must be >= 1, got {value!r}")
         self.embed_config()   # EmbedNetConfig refuses a bad architecture field
-
-
-@dataclass
-class TrainerState:
-    """Curriculum position and patience counters, stored as
-    ``Checkpoint.trainer`` so a resumed run picks up where it stopped."""
-
-    phase: int = 1
-    epoch_in_phase: int = 0
-    since_best: int = 0
-    since_best_lr: int = 0
-    done: bool = False
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "TrainerState":
-        """Rebuild from a checkpoint's trainer block, naming a bad field."""
-        for f in fields(cls):
-            if not isinstance(block.get(f.name), f.type):
-                raise ValueError(
-                    f"checkpoint trainer block: field '{f.name}' is missing or "
-                    f"not {f.type.__name__}"
-                )
-        return cls(**{f.name: block[f.name] for f in fields(cls)})
 
 
 def load_corpus(rows: list) -> list:
@@ -390,7 +367,7 @@ def _epoch_zero(settings: TrainSettings, slots: int, n_anchors: int) -> Checkpoi
     moments, the best parameters equal to the current ones, no epoch run."""
     net = EmbedNet(settings.embed_config(), seed=settings.seed, n_anchors=n_anchors)
     return Checkpoint.of_training(settings.model, slots, net, AdamState(lr=settings.lr),
-                                  dict(net.params), None, 0, asdict(TrainerState()))
+                                  dict(net.params), None, 0, TrainerState())
 
 
 def train(
@@ -419,13 +396,12 @@ def train(
     else:
         ckpt = _epoch_zero(settings, slots, n_anchors)
     net, opt, best = ckpt.build_net(best=False), ckpt.build_adam(), ckpt.best_arrays
-    best_val, epoch = ckpt.best_val_loss, ckpt.epoch
-    state = TrainerState.from_dict(ckpt.trainer)
+    best_val, epoch, state = ckpt.best_val_loss, ckpt.epoch, ckpt.trainer
     del ckpt  # held through the loop, it would pin the first parameters and moments
 
     def save(fixed_table=None) -> Checkpoint:
         saved = Checkpoint.of_training(settings.model, slots, net, opt, best,
-                                       best_val, epoch, asdict(state), fixed_table)
+                                       best_val, epoch, state, fixed_table)
         checkpoint_save(saved, ckpt_path)
         return saved
 

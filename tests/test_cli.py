@@ -312,6 +312,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "'phase'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, name", [
+        (lambda h: h["arrays"].remove(
+            next(e for e in h["arrays"] if e["name"] == "adam_m/w0")), "'adam_m/w0'"),
+        (lambda h: next(e for e in h["arrays"] if e["name"] == "adam_v/b0").update(
+            shape=[3, 1]), "'adam_v/b0'"),
+        (lambda h: h["trainer"].update(phase=True), "'phase'"),
+    ], ids=["missing-moment", "misshapen-moment", "bool-phase"])
+    def test_malformed_training_state_exits_two(self, corpus, trained, tmp_path,
+                                                capsys, edit, name):
+        ckpt = tmp_path / "bad.ckpt"
+        rewrite_header(trained, ckpt, edit)
+        before = ckpt.read_bytes()
+        assert main([
+            "train", "--data", str(corpus), "--out", str(ckpt), "--seed", "0",
+            "--resume", *MICRO_TRAIN,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and name in err and "Traceback" not in err
+        assert ckpt.read_bytes() == before
+
     def test_untrainable_settings_exit_two(self, corpus, trained, tmp_path,
                                            capsys):
         resumed = tmp_path / "resumed.ckpt"
@@ -340,6 +360,8 @@ class TestTrain:
         (["--chunk-short", "0"], "chunk_short"),
         (["--chunk-long", "0"], "chunk_long"),
         (["--model", "adanet", "--slots", "0"], "slots"),
+        (["--epochs-short", "0"], "epochs_short"),
+        (["--epochs-long", "0"], "epochs_long"),
     ])
     def test_unusable_settings_exit_two_before_reading(self, tmp_path, capsys,
                                                        extra, field):
@@ -462,6 +484,39 @@ class TestSeparate:
         ]) == 2
         err = capsys.readouterr().err
         assert "'config'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("context", -1), ("embed_dim", 0), ("mask_nl", "relu"), ("n_freq", 0),
+    ])
+    def test_config_the_net_refuses_exits_two_naming_file(self, corpus, trained,
+                                                          tmp_path, capsys, field, value):
+        ckpt = tmp_path / "badconfig.ckpt"
+        rewrite_header(trained, ckpt, lambda h: h["config"].update({field: value}))
+        row = load_index(corpus / "test" / "index.jsonl")[0]
+        assert main([
+            "separate", "--checkpoint", str(ckpt),
+            "--input", str(row["mixture_path"]), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint header config: EmbedNetConfig.{field}" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reshape", [lambda t: t[:, :3], lambda t: t.reshape(-1)],
+                             ids=["3-wide", "1-d"])
+    def test_table_of_wrong_width_exits_two(self, corpus, trained, tmp_path, capsys,
+                                            reshape):
+        ckpt = checkpoint_load(trained)
+        ckpt.arrays["fixed_attractors"] = reshape(ckpt.arrays["fixed_attractors"])
+        path = tmp_path / "table.ckpt"
+        checkpoint_save(ckpt, path)
+        row = load_index(corpus / "test" / "index.jsonl")[0]
+        assert main([
+            "separate", "--checkpoint", str(path), "--strategy", "fixed",
+            "--input", str(row["mixture_path"]), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: array 'fixed_attractors' has shape" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("model,strategy,array,bad", [
         ("trained", "kmeans", "best/w_out", np.nan),

@@ -2,16 +2,17 @@
 
 import errno
 import json
+import re
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import danet.checkpoint as checkpoint_module
-from danet.checkpoint import Checkpoint, checkpoint_load, checkpoint_save
+from danet.checkpoint import Checkpoint, TrainerState, checkpoint_load, checkpoint_save
 from danet.dsp import Waveform
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig
 from danet.training import train_step
@@ -168,8 +169,8 @@ def make_checkpoint(seed=0) -> Checkpoint:
         adam={"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 17},
         epoch=4,
         best_val_loss=0.125,
-        trainer={"phase": 1, "epoch_in_phase": 4, "since_best": 1,
-                 "since_best_lr": 1, "done": False},
+        trainer=TrainerState(phase=1, epoch_in_phase=4, since_best=1,
+                             since_best_lr=1, done=False),
     )
 
 
@@ -211,7 +212,8 @@ class TestCheckpoint:
         cfg = EmbedNetConfig(**fields)
         net = EmbedNet(cfg, seed=0, n_anchors=n_anchors)
         ckpt = Checkpoint.of_training("adanet" if n_anchors else "danet", 2, net,
-                                      AdamState(), dict(net.params), None, 0, {})
+                                      AdamState(), dict(net.params), None, 0,
+                                      TrainerState())
         checkpoint_save(ckpt, tmp_path / "cfg.ckpt")
         loaded = checkpoint_load(tmp_path / "cfg.ckpt")
         assert loaded.config == cfg and loaded.n_anchors == n_anchors
@@ -242,7 +244,7 @@ class TestCheckpoint:
         # a transposed (non-contiguous) table is stored in C order
         table = (np.arange(12.0).reshape(4, 3).T if n_anchors == 0 else None)
         ckpt = Checkpoint.of_training("adanet" if n_anchors else "danet", 2, net,
-                                      opt, best, 0.5, 3, {"phase": 1}, table)
+                                      opt, best, 0.5, 3, TrainerState(), table)
         path = tmp_path / "m.ckpt"
         checkpoint_save(ckpt, path)
         blob = path.read_bytes()
@@ -385,6 +387,57 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'nonlinearity'"):
             checkpoint_load(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("field, value", [
+        ("context", -1), ("embed_dim", 0), ("mask_nl", "relu"), ("n_freq", 0),
+        ("hidden_sizes", [8, 0]),
+    ])
+    def test_config_the_net_refuses_names_file_and_field(self, tmp_path, field, value):
+        checkpoint_save(make_checkpoint(10), tmp_path / "ok.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(tmp_path / "ok.ckpt", bad,
+                       lambda h: h["config"].update({field: value}))
+        for inference in (False, True):
+            with pytest.raises(ValueError) as caught:
+                checkpoint_load(bad, inference=inference)
+            assert str(caught.value).startswith(
+                f"{bad}: checkpoint header config: EmbedNetConfig.{field} must be ")
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("config", "context", 1.0),
+        ("config", "embed_dim", True),
+        ("config", "mask_nl", 1),
+        ("config", "hidden_sizes", 8),
+        ("config", "hidden_sizes", [8.0]),
+        ("config", "hidden_sizes", [True]),
+        ("adam", "lr", "0.001"),
+        ("adam", "beta2", False),
+        ("adam", "eps", None),
+        ("adam", "step", 17.0),
+        ("adam", "step", None),
+        ("trainer", "phase", True),
+        ("trainer", "phase", None),
+        ("trainer", "epoch_in_phase", 4.0),
+        ("trainer", "since_best_lr", "1"),
+        ("trainer", "done", 0),
+        ("trainer", "done", "false"),
+    ])
+    def test_wrong_typed_header_field_named(self, tmp_path, block, field, value):
+        # None stands for a missing field; an int field never takes a bool,
+        # and a bool field takes only true or false
+        def edit(header):
+            header[block].pop(field)
+            if value is not None:
+                header[block][field] = value
+
+        checkpoint_save(make_checkpoint(11), tmp_path / "ok.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(tmp_path / "ok.ckpt", bad, edit)
+        for inference in (False, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{bad}: checkpoint header {block}: field '{field}' is missing "
+                    f"or malformed")):
+                checkpoint_load(bad, inference=inference)
+
     def test_file_cut_after_its_size_was_taken_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ckpt"
         checkpoint_save(make_checkpoint(4), path)
@@ -451,17 +504,88 @@ class TestManifest:
 
     def test_empty_array_overlaps_nothing(self, tmp_path):
         def edit(manifest):
-            manifest.append({"name": "extra", "shape": [0, 3],
+            manifest.append({"name": "fixed_attractors", "shape": [0, 4],
                              "offset": entry(manifest, "best/w0")["offset"] + 8})
 
         loaded = checkpoint_load(edit_entry(tmp_path, edit))
-        assert loaded.arrays["extra"].shape == (0, 3)
+        assert loaded.arrays["fixed_attractors"].shape == (0, 4)
 
 
 def with_fixed_table(seed=0) -> Checkpoint:
     ckpt = make_checkpoint(seed)
     ckpt.arrays["fixed_attractors"] = np.random.default_rng(seed + 100).standard_normal((2, 4))
     return ckpt
+
+
+class TestArrayList:
+    """The manifest holds exactly the arrays of its config: each parameter
+    under param/, best/, adam_m/ and adam_v/, and optionally a table of
+    attractors as wide as the embedding."""
+
+    @pytest.mark.parametrize("edit, name, match", [
+        (lambda m: m.remove(entry(m, "adam_m/w0")), "adam_m/w0", "missing array"),
+        (lambda m: entry(m, "adam_v/b0").update(shape=[7, 1]), "adam_v/b0", "has shape"),
+        (lambda m: entry(m, "fixed_attractors").update(shape=[2, 3]),
+         "fixed_attractors", r"has shape \(2, 3\), config requires \(rows, 4\)"),
+        (lambda m: entry(m, "fixed_attractors").update(shape=[8]),
+         "fixed_attractors", r"has shape \(8,\)"),
+        (lambda m: entry(m, "fixed_attractors").update(shape=[]),
+         "fixed_attractors", r"has shape \(\)"),
+        (lambda m: m.append({"name": "adam_m/w9", "shape": [0], "offset": 0}),
+         "adam_m/w9", "unknown array"),
+    ], ids=["missing-moment", "misshapen-moment", "table-3-wide", "table-1d",
+            "table-0d", "unknown"])
+    def test_refused_naming_the_array(self, tmp_path, edit, name, match):
+        checkpoint_save(with_fixed_table(), tmp_path / "ok.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(tmp_path / "ok.ckpt", bad, lambda h: edit(h["arrays"]))
+        for inference in (False, True):
+            with pytest.raises(ValueError, match=match) as caught:
+                checkpoint_load(bad, inference=inference)
+            assert f"{bad}: " in str(caught.value) and f"'{name}'" in str(caught.value)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dropped_reshaped_or_unknown_array_named(self, tmp_path, data):
+        ckpt = with_fixed_table()
+        names = sorted(ckpt.arrays)
+        action = data.draw(st.sampled_from(["drop", "reshape", "add"]), label="action")
+        shapes = st.lists(st.integers(0, 30), max_size=3)
+        if action == "drop":   # the table is optional
+            name = data.draw(st.sampled_from([n for n in names if n != "fixed_attractors"]),
+                             label="name")
+
+            def edit(manifest):
+                manifest.remove(entry(manifest, name))
+        elif action == "reshape":
+            name = data.draw(st.sampled_from(names), label="name")
+            shape = data.draw(shapes, label="shape")
+            if name == "fixed_attractors":
+                assume(len(shape) != 2 or shape[1] != 4)
+            else:
+                assume(tuple(shape) != ckpt.arrays[name].shape)
+
+            def edit(manifest):
+                entry(manifest, name)["shape"] = shape
+        else:
+            prefixes = st.sampled_from(["", "param/", "best/", "adam_m/", "adam_v/",
+                                        "fixed_attractors/"])
+            name = data.draw(st.builds(str.__add__, prefixes, st.text(max_size=8)),
+                             label="name")
+            assume(name not in names)
+            new = {"name": name, "shape": data.draw(shapes, label="shape"),
+                   "offset": data.draw(st.integers(0, 3000), label="offset")}
+
+            def edit(manifest):
+                manifest.insert(data.draw(st.integers(0, len(manifest)), label="at"),
+                                new)
+        checkpoint_save(ckpt, tmp_path / "ok.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(tmp_path / "ok.ckpt", bad, lambda h: edit(h["arrays"]))
+        for inference in (False, True):
+            with pytest.raises(ValueError, match=re.escape(f"'{name}'")):
+                checkpoint_load(bad, inference=inference)
 
 
 class TestInferenceLoad:

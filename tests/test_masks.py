@@ -90,3 +90,20 @@ class TestWfm:
         cols = np.arange(mags.shape[1])
         assert np.all(w[weaker, cols] <= r[weaker, cols] + 1e-12)
 
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), n=st.integers(1, 40), zeros=st.floats(0, 1),
+           seed=st.integers(0, 2**32 - 1), flat=st.booleans())
+    def test_bitwise_the_squared_ratio_spelled_out(self, c, n, zeros, seed, flat):
+        # the mask is irm of the squared magnitudes: the same operations in
+        # the same order as the formula written out here
+        rng = np.random.default_rng(seed)
+        mags = rng.uniform(0, 2, (c, n)) * (rng.uniform(0, 1, n) >= zeros)
+        if flat:
+            mags = mags[0]
+        sq = np.atleast_2d(mags) * np.atleast_2d(mags)
+        total = sq.sum(axis=0, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = np.where(total > 0, sq / total, 1.0 / sq.shape[0])
+        assert wfm(mags).tobytes() == expected.tobytes()
+        assert wfm(mags.tolist()).tobytes() == expected.tobytes()

@@ -4,20 +4,22 @@ import gc
 import platform
 import sys
 import tracemalloc
+import json
+import struct
 import weakref
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from danet.checkpoint import checkpoint_load, checkpoint_save
+import danet
+import danet.training as training_module
+from danet.checkpoint import TrainerState, checkpoint_load, checkpoint_save
 from danet.data import build_manifest, generate_dataset, load_index
 from danet.dsp import HOP, WINDOW_LEN, n_frames, stft
 from danet.nn import AdamState, EmbedNet, EmbedNetConfig, adam_step
 from danet.training import (
-    TrainerState,
     TrainSettings,
     TrainingDiverged,
     _chunks,
@@ -54,6 +56,17 @@ def micro_corpus(tmp_path_factory):
         "train": load_index(root / "train" / "index.jsonl"),
         "validation": load_index(root / "validation" / "index.jsonl"),
     }
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<I", len(encoded)) + encoded
+                    + blob[16 + header_len :])
 
 
 class TestTraining:
@@ -171,25 +184,28 @@ class TestTraining:
         train(micro_corpus["train"], micro_corpus["validation"],
               TrainSettings(**MICRO, stop_after_epochs=1),
               tmp_path / "t.ckpt", tmp_path / "t.log")
-        ckpt = checkpoint_load(tmp_path / "t.ckpt")
-        del ckpt.trainer["phase"]
-        checkpoint_save(ckpt, tmp_path / "t.ckpt")
-        with pytest.raises(ValueError, match="'phase'"):
+        rewrite_header(tmp_path / "t.ckpt", tmp_path / "t.ckpt",
+                       lambda h: h["trainer"].pop("phase"))
+        before = [(tmp_path / n).read_bytes() for n in ("t.ckpt", "t.log")]
+        with pytest.raises(ValueError, match="checkpoint header trainer: field 'phase'"):
             train(micro_corpus["train"], micro_corpus["validation"],
                   TrainSettings(**MICRO), tmp_path / "t.ckpt", tmp_path / "t.log",
                   resume=True)
+        assert [(tmp_path / n).read_bytes() for n in ("t.ckpt", "t.log")] == before
 
     def test_trainer_state_round_trips_through_checkpoint(self, micro_corpus,
                                                           tmp_path):
         train(micro_corpus["train"], micro_corpus["validation"],
               TrainSettings(**MICRO, stop_after_epochs=1),
               tmp_path / "s.ckpt", tmp_path / "s.log")
-        assert checkpoint_load(tmp_path / "s.ckpt").trainer == {
-            "phase": 1, "epoch_in_phase": 1, "since_best": 0,
-            "since_best_lr": 0, "done": False}
-        block = {"phase": 2, "epoch_in_phase": 3, "since_best": 2,
-                 "since_best_lr": 1, "done": True}
-        assert asdict(TrainerState.from_dict(block)) == block
+        ckpt = checkpoint_load(tmp_path / "s.ckpt")
+        assert ckpt.trainer == TrainerState(phase=1, epoch_in_phase=1, since_best=0,
+                                            since_best_lr=0, done=False)
+        ckpt.trainer = TrainerState(phase=2, epoch_in_phase=3, since_best=2,
+                                    since_best_lr=1, done=True)
+        checkpoint_save(ckpt, tmp_path / "s.ckpt")
+        assert checkpoint_load(tmp_path / "s.ckpt").trainer == ckpt.trainer
+        assert TrainerState is training_module.TrainerState is danet.TrainerState
 
     def test_checkpoint_carries_anchor_array_for_adanet(self, micro_corpus, tmp_path):
         settings = TrainSettings(**{**MICRO, "model": "adanet", "anchors": 6})
@@ -301,6 +317,8 @@ class TestTraining:
         ("chunk_short", 0),
         ("chunk_long", 0),
         ("slots", 0),
+        ("epochs_short", 0),
+        ("epochs_long", 0),
     ])
     def test_unusable_setting_rejected_before_any_io(self, tmp_path, field, value):
         # each of these used to train, or fail deep inside the first step
